@@ -17,7 +17,6 @@ error, 3 numeric or indeterminate-phase error.
 from __future__ import annotations
 
 import argparse
-import cmath
 import csv
 import io
 import json
@@ -28,7 +27,7 @@ from typing import Any, Callable, NoReturn, Sequence
 import numpy as np
 
 from .angles import principal
-from .converters import PlateSpec, Unitary3, compose, eigen, evolve, q_matrix
+from .converters import PlateSpec, Unitary3, compose, eigen, eigenvalue_arg, evolve, q_matrix
 from .errors import BiphaseError, ConfigError, IndeterminatePhaseError, UsageError
 from .geodesics import (
     GeodesicScenario,
@@ -212,7 +211,7 @@ def _eigen_entry(unitary: Unitary3) -> dict:
     system = eigen(unitary)
     return {
         "eigenvalues": [_complex_pair(v) for v in system.values],
-        "eigenvalue_args": [principal(cmath.phase(v)) for v in system.values],
+        "eigenvalue_args": [eigenvalue_arg(v) for v in system.values],
         "eigenvectors": [_amplitude_pairs(st.amplitudes) for st in system.states],
     }
 

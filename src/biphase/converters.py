@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .angles import principal
 from .errors import (
@@ -39,6 +38,8 @@ COEFFICIENT_TOL = 1e-9
 UNITARITY_TOL = 1e-10
 #: Residual tolerance of the eigen-decomposition.
 EIGEN_RESIDUAL_TOL = 1e-9
+#: Eigenvalue arguments this close above -pi are reported as +pi.
+HALF_TURN_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -93,7 +94,7 @@ class Unitary3:
 class EigenSystem:
     """Eigenvalue and eigenvector pairs of a converter matrix.
 
-    Pairs are sorted by ascending principal argument of the eigenvalue and
+    Pairs are sorted by ascending ``eigenvalue_arg`` of the eigenvalue and
     each eigenvector's global phase is fixed by making its first component
     above 1e-12 in magnitude real and positive.
     """
@@ -229,24 +230,36 @@ def _first_significant(column: np.ndarray) -> int:
     return int(np.argmax(np.abs(column)))
 
 
+def eigenvalue_arg(value: complex) -> float:
+    """Principal argument of an eigenvalue with half-turns reported as +pi.
+
+    A degenerate -1 eigenvalue comes out of the solver with imaginary parts
+    of either sign at rounding level; arguments within ``HALF_TURN_TOL`` of
+    -pi are folded to +pi so both copies carry one argument.
+    """
+    a = principal(cmath.phase(value))
+    return math.pi if a <= HALF_TURN_TOL - math.pi else a
+
+
 def eigen(u: Unitary3) -> EigenSystem:
     """Eigen-decomposition of a unitary converter matrix.
 
-    Uses a complex Schur factorization, which keeps the eigenvectors
-    orthonormal even for degenerate or nearly degenerate spectra.  Raises
-    ``NumericError`` when the input is not unitary within ``UNITARITY_TOL``
-    and ``ConvergenceError`` when the factorization misses the residual or
-    unit-modulus tolerances.
+    Eigenvalues come from ``np.linalg.eig``; the eigenvectors are the
+    columns of the QR factor of its eigenvector matrix.  For a normal
+    matrix those columns are orthonormal eigenvectors (Schur vectors), also
+    for degenerate or nearly degenerate spectra, because Gram-Schmidt
+    never leaves an eigenspace.  Raises ``NumericError`` when the input is
+    not unitary within ``UNITARITY_TOL`` and ``ConvergenceError`` when the
+    factorization misses the residual or unit-modulus tolerances.
     """
     m = u.matrix
     defect = float(np.max(np.abs(np.conj(m.T) @ m - np.eye(3))))
     if defect > UNITARITY_TOL:
         raise NumericError(f"matrix is not unitary: max |U*U - I| = {defect!r}")
-    tri, z = scipy.linalg.schur(m, output="complex")
-    values = np.diag(tri).copy()
+    values, raw = np.linalg.eig(m)
     if float(np.max(np.abs(np.abs(values) - 1.0))) > UNITARITY_TOL:
         raise ConvergenceError("eigenvalues left the unit circle")
-    vectors = np.array(z, dtype=complex)
+    vectors = np.linalg.qr(raw)[0]
     for k in range(3):
         col = vectors[:, k]
         lead = col[_first_significant(col)]
@@ -258,7 +271,7 @@ def eigen(u: Unitary3) -> EigenSystem:
     def sort_key(k: int):
         col = vectors[:, k]
         lex = tuple((round(c.real, 12), round(c.imag, 12)) for c in col)
-        return (round(principal(cmath.phase(values[k])), 12), lex)
+        return (round(eigenvalue_arg(values[k]), 12), lex)
 
     order = sorted(range(3), key=sort_key)
     pairs = tuple(

@@ -20,11 +20,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .converters import q_stack
 from .errors import DegenerateRayError, NumericError, UsageError
-from .phases import _simpson
+from .phases import _simpson, _uniform_step
 from .state_space import (
     Basis,
     Curve,
@@ -75,14 +74,6 @@ def geodesic_between(a: StateVector, b: StateVector, n: int) -> Curve:
     return Curve(s, amps, a.basis)
 
 
-def _uniform_step(values: np.ndarray) -> float:
-    steps = np.diff(values)
-    h = float(steps[0])
-    if not np.allclose(steps, h, rtol=1e-9, atol=1e-12 * max(1.0, abs(float(values[-1] - values[0])))):
-        raise UsageError("samples must be uniformly spaced")
-    return h
-
-
 def geodesic_residual(curve: Curve) -> float:
     """Max norm of d2psi/ds2 + <dpsi|dpsi> psi over interior samples.
 
@@ -92,6 +83,8 @@ def geodesic_residual(curve: Curve) -> float:
     if len(curve) < 5:
         raise UsageError("the residual check needs at least 5 samples")
     h = _uniform_step(curve.s)
+    if h is None:
+        raise UsageError("samples must be uniformly spaced")
     amps = curve.amplitudes
     acc = (amps[:-2] - 2.0 * amps[1:-1] + amps[2:]) / h**2
     vel = (amps[2:] - amps[:-2]) / (2.0 * h)
@@ -120,7 +113,7 @@ def parallel_lift(curve: Curve) -> Curve:
         raise UsageError("the lift needs at least 3 samples")
     vel = curve_velocity(curve)
     rate = -np.einsum("ij,ij->i", np.conj(curve.amplitudes), vel).imag
-    alpha = cumulative_trapezoid(rate, curve.s, initial=0.0)
+    alpha = np.concatenate(([0.0], np.cumsum(np.diff(curve.s) * (rate[1:] + rate[:-1]) / 2.0)))
     return gauge_transform(curve, alpha)
 
 
@@ -266,6 +259,8 @@ def generalized_geodesic_check(
     if np.any(np.diff(deltas) <= 0.0):
         raise UsageError("the delta grid must be strictly increasing")
     h = _uniform_step(deltas)
+    if h is None:
+        raise UsageError("samples must be uniformly spaced")
     imag = q_stack(deltas, chi).imag
     if method == "analytic":
         c2, s2 = math.cos(2.0 * chi), math.sin(2.0 * chi)

@@ -94,6 +94,15 @@ def dynamical_phase_closed_form(state: StateVector, spec: PlateSpec) -> float:
     return float(spec.delta * bracket.imag)
 
 
+def _uniform_step(x: np.ndarray) -> float | None:
+    """The common step of a sample grid, or None when the grid is not uniform."""
+    steps = np.diff(x)
+    h = float(steps[0])
+    if not np.allclose(steps, h, rtol=1e-9, atol=1e-12 * max(1.0, abs(float(x[-1] - x[0])))):
+        return None
+    return h
+
+
 def _simpson(y: np.ndarray, x: np.ndarray) -> float:
     """Composite Simpson on a uniform grid with an even interval count.
 
@@ -103,11 +112,9 @@ def _simpson(y: np.ndarray, x: np.ndarray) -> float:
     """
     y = np.asarray(y, dtype=float)
     x = np.asarray(x, dtype=float)
-    steps = np.diff(x)
     span = float(x[-1] - x[0])
-    uniform = np.allclose(steps, steps[0], rtol=1e-9, atol=1e-12 * max(1.0, abs(span)))
     intervals = x.size - 1
-    if uniform and intervals >= 2 and intervals % 2 == 0:
+    if _uniform_step(x) is not None and intervals >= 2 and intervals % 2 == 0:
         h = span / intervals
         return float(h / 3.0 * (y[0] + y[-1] + 4.0 * np.sum(y[1:-1:2]) + 2.0 * np.sum(y[2:-2:2])))
     return float(np.trapezoid(y, x))

@@ -4,9 +4,13 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import biphase
 from biphase.cli import main
 
 S = math.sqrt(0.5)
@@ -465,3 +469,31 @@ def test_eigen_command_reports_each_plate_and_the_composite(capsys, tmp_path):
         assert system["eigenvalue_args"] == pytest.approx([-PI / 2.0, 0.0, PI / 2.0], abs=1e-10)
     composite = sorted(payload["composite"]["eigenvalue_args"])
     assert composite == pytest.approx([0.0, PI, PI], abs=1e-10)
+
+
+def test_eigen_command_reports_a_half_turn_as_plus_pi(capsys, tmp_path):
+    config = {"plates": [{"delta": 1.5 * PI, "chi": -2.95}]}
+    payload = run_json(capsys, tmp_path, "eigen", config)
+    assert payload["systems"][0]["eigenvalue_args"] == pytest.approx([0.0, PI, PI], abs=1e-12)
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # the runtime is numpy-only; scipy would take most of a cold call's start-up
+    src = os.path.dirname(os.path.dirname(os.path.abspath(biphase.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    code = (
+        "import sys, biphase.cli; "
+        "print(biphase.__file__); "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    loaded_from, modules = result.stdout.splitlines()
+    assert os.path.samefile(loaded_from, biphase.__file__)
+    assert modules == "[]"

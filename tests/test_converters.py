@@ -25,6 +25,7 @@ from biphase import (
     q_matrix_explicit,
     q_stack,
 )
+from biphase.converters import eigenvalue_arg
 from conftest import random_state
 
 S = math.sqrt(0.5)
@@ -256,7 +257,8 @@ def test_eigen_is_deterministic():
 
 
 def test_eigen_keeps_orthonormal_vectors_at_degeneracies():
-    # delta = pi/2 doubles the -1 eigenvalue; Schur columns stay orthonormal
+    # delta = pi/2 doubles the -1 eigenvalue; the QR factor of the eigenvector
+    # matrix keeps an orthonormal basis inside the degenerate eigenspace
     system = eigen(q_matrix(PlateSpec(math.pi / 2.0, 0.3)))
     values = sorted(system.values, key=lambda v: v.real)
     assert values[0] == pytest.approx(-1.0, abs=1e-10)
@@ -264,6 +266,45 @@ def test_eigen_keeps_orthonormal_vectors_at_degeneracies():
     assert values[2] == pytest.approx(1.0, abs=1e-10)
     vecs = np.stack([s.amplitudes for s in system.states], axis=1)
     assert np.max(np.abs(np.conj(vecs.T) @ vecs - np.eye(3))) < 1e-10
+
+
+def assert_orthonormal_eigenpairs(u: Unitary3) -> None:
+    system = eigen(u)
+    vecs = np.stack([s.amplitudes for s in system.states], axis=1)
+    assert np.max(np.abs(np.conj(vecs.T) @ vecs - np.eye(3))) <= 1e-12
+    assert np.max(np.abs(u.matrix @ vecs - vecs * system.values[None, :])) <= 1e-12
+
+
+def test_eigen_is_orthonormal_on_random_plate_chains(rng):
+    for _ in range(200):
+        count = int(rng.integers(1, 17))
+        assert_orthonormal_eigenpairs(compose([q_matrix(random_spec(rng)) for _ in range(count)]))
+
+
+@pytest.mark.parametrize("gap", [1e-4, 1e-8, 1e-12, 0.0])
+def test_eigen_is_orthonormal_at_constructed_near_degeneracies(rng, gap):
+    for _ in range(50):
+        v, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+        t, s = rng.uniform(-math.pi, math.pi, size=2)
+        phases = np.exp(1j * np.array([t, t + gap, s]))
+        assert_orthonormal_eigenpairs(Unitary3(v @ np.diag(phases) @ np.conj(v.T), Basis.PMZ))
+
+
+def test_half_wave_double_eigenvalue_is_reported_at_plus_pi():
+    # the doubled -1 of an odd multiple of a half-wave plate comes out of
+    # the solver with imaginary parts of either sign; both copies read +pi
+    for k in (1, 3, 5, 101):
+        for chi in np.linspace(-math.pi, math.pi, 601):
+            system = eigen(q_matrix(PlateSpec(k * math.pi / 2.0, float(chi))))
+            args = [eigenvalue_arg(v) for v in system.values]
+            assert args == pytest.approx([0.0, math.pi, math.pi], abs=1e-12)
+
+
+def test_eigenvalue_arg_folds_only_the_lower_half_turn():
+    assert eigenvalue_arg(complex(-1.0, -1e-16)) == math.pi
+    assert eigenvalue_arg(complex(-1.0, 0.0)) == math.pi
+    assert eigenvalue_arg(cmath.exp(-1j * (math.pi - 1e-9))) == pytest.approx(1e-9 - math.pi, abs=1e-15)
+    assert eigenvalue_arg(1j) == pytest.approx(0.5 * math.pi)
 
 
 def test_eigen_rejects_non_unitary_input():
