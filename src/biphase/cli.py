@@ -397,15 +397,22 @@ def _cmd_sweep(config: dict, fmt: str) -> dict:
     parameter, index, values = _parse_sweep_grid(config, plates, scale)
 
     scenario = _two_level_from_state(state) if "jump" in outputs else None
+    # Plates before the swept one do not depend on the swept value: evolve
+    # them once.  Per-point dynamical sums continue from their left-to-right
+    # partial sum, so totals keep the summation order of a full re-run.  The
+    # geodesic check depends on the swept plate's chi alone: one per chi.
+    prefix, swept_input = _evolved_segments(state, plates[:index], samples)
+    prefix_dyn = sum(dynamical_phase_numeric(curve) for curve in prefix)
+    grid = _check_grid(samples)
+    checks: dict[float, tuple[float, float]] = {}
     records = []
     for value in values:
-        point_plates = list(plates)
-        point_plates[index] = _swept_plate(plates[index], parameter, float(value))
+        swept = _swept_plate(plates[index], parameter, float(value))
         record: dict[str, Any] = {parameter: float(value)}
-        segments, final = _evolved_segments(state, point_plates, samples)
+        segments, final = _evolved_segments(swept_input, [swept, *plates[index + 1:]], samples)
         for name in outputs:
             if name == "phases":
-                dyn = sum(dynamical_phase_numeric(curve) for curve in segments)
+                dyn = sum((dynamical_phase_numeric(curve) for curve in segments), prefix_dyn)
                 try:
                     pan = pancharatnam(state, final)
                     geo = principal(pan - dyn)
@@ -417,14 +424,17 @@ def _cmd_sweep(config: dict, fmt: str) -> dict:
                 record["geometric"] = geo
                 record["visibility"] = visibility(state, final)
             elif name == "eigen":
-                entry = _eigen_entry(q_matrix(point_plates[index]))
+                entry = _eigen_entry(q_matrix(swept))
                 for k, arg in enumerate(entry["eigenvalue_args"], start=1):
                     record[f"eigenvalue_arg_{k}"] = arg
             elif name == "geodesic-check":
-                grid = _check_grid(samples)
-                chi = point_plates[index].chi
-                record["fd_residual"] = generalized_geodesic_check(chi, grid, method="fd")
-                record["analytic_residual"] = generalized_geodesic_check(chi, grid, method="analytic")
+                chi = swept.chi
+                if chi not in checks:
+                    checks[chi] = (
+                        generalized_geodesic_check(chi, grid, method="fd"),
+                        generalized_geodesic_check(chi, grid, method="analytic"),
+                    )
+                record["fd_residual"], record["analytic_residual"] = checks[chi]
             elif name == "interference":
                 record["visibility"] = visibility(state, final)
                 try:
@@ -434,7 +444,7 @@ def _cmd_sweep(config: dict, fmt: str) -> dict:
                 record["intensity"] = interference_intensity(state, final, phi)
             elif name == "jump":
                 assert scenario is not None
-                s_point = 2.0 * point_plates[index].delta
+                s_point = 2.0 * swept.delta
                 theta, geometric = two_level_fringe(scenario, s_point)
                 record["two_level_theta"] = theta
                 record["two_level_geometric"] = geometric

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .converters import q_stack
+from .converters import _generator, q_stack
 from .errors import DegenerateRayError, NumericError, UsageError
 from .phases import _simpson, _uniform_step
 from .state_space import (
@@ -263,9 +263,8 @@ def generalized_geodesic_check(
         raise UsageError("samples must be uniformly spaced")
     imag = q_stack(deltas, chi).imag
     if method == "analytic":
-        c2, s2 = math.cos(2.0 * chi), math.sin(2.0 * chi)
-        pattern = np.array([[0.0, c2, s2], [c2, 0.0, 0.0], [s2, 0.0, 0.0]])
-        second = -4.0 * np.sin(2.0 * deltas)[:, None, None] * pattern
+        # Im Q = sin(2 delta) H/2, whose second derivative is -4 sin(2 delta) H/2
+        second = -4.0 * np.sin(2.0 * deltas)[:, None, None] * (0.5 * _generator(chi))
         return float(np.max(np.abs(second + 4.0 * imag)))
     if method != "fd":
         raise UsageError("method must be 'fd' or 'analytic'")

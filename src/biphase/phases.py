@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .angles import principal
-from .converters import PlateSpec, q_matrix
+from .converters import PlateSpec, _generator, q_matrix
 from .errors import BasisMismatchError, IndeterminatePhaseError, UsageError
 from .state_space import Basis, Curve, StateVector, curve_velocity, inner
 
@@ -76,22 +76,15 @@ def interference_intensity(a: StateVector, b: StateVector, phi: float) -> float:
 def dynamical_phase_closed_form(state: StateVector, spec: PlateSpec) -> float:
     """Dynamical phase accumulated through a plate, in closed form.
 
-    The integrand Im<psi|dpsi/ddelta> is constant along a plate at fixed
-    chi, so the integral collapses to
-
-        delta * Im{2i cos(2 chi) (d1 d2* + d1* d2)
-                   + 2i sin(2 chi) (d1 d3* + d1* d3)}
-
-    with (d1, d2, d3) the plate-basis amplitudes of the input state.
+    Along a plate at fixed chi the integrand Im<psi|dpsi/ddelta> is the
+    constant expectation <psi|H(chi)|psi> of the real symmetric generator,
+    so the integral collapses to delta * <psi|H|psi> with psi the
+    plate-basis amplitudes of the input state.
     """
     if state.basis is not Basis.PMZ:
         raise BasisMismatchError("closed form needs plate-basis amplitudes")
-    d1, d2, d3 = state.amplitudes
-    bracket = (
-        2j * math.cos(2.0 * spec.chi) * (d1 * np.conj(d2) + np.conj(d1) * d2)
-        + 2j * math.sin(2.0 * spec.chi) * (d1 * np.conj(d3) + np.conj(d1) * d3)
-    )
-    return float(spec.delta * bracket.imag)
+    d = state.amplitudes
+    return float(spec.delta * np.vdot(d, _generator(spec.chi) @ d).real)
 
 
 def _uniform_step(x: np.ndarray) -> float | None:
@@ -159,8 +152,10 @@ def transformation_phase(
 
     The imaginary part obeys the plate identity
 
-        Im<d|Q d> = sin(2 delta) {cos(2 chi) (d1* d2 + d2* d1)
-                                  + sin(2 chi) (d1* d3 + d1 d3*)}.
+        Im<d|Q d> = sin(2 delta) <d|H(chi)|d> / 2,
+
+    since Q = cos(2 delta) (1 - P0) + i sin(2 delta) H/2 + P0 with P0 the
+    projector on the zero eigenvector of the generator H.
     """
     if state.basis is not Basis.PMZ:
         raise BasisMismatchError("transformation phase needs plate-basis amplitudes")

@@ -220,6 +220,77 @@ def test_sweep_reports_null_cells_at_indeterminate_points(capsys, tmp_path):
     assert rows[0][2] != "" and rows[1][1] != ""
 
 
+def point_plates(plates, parameter, index, value):
+    """The plate list a sweep evaluates at one grid value."""
+    point = [dict(plate) for plate in plates]
+    if parameter == "s":
+        point[index]["delta"] = 0.5 * value
+    else:
+        point[index][parameter] = value
+    return point
+
+
+def assert_record_matches_run(record, run, index):
+    total = run["phases"]["total"]
+    keys = ("pancharatnam", "dynamical", "geometric", "visibility")
+    assert [record[k] for k in keys] == [total[k] for k in keys]
+    keys = ("fringe_phase", "intensity")
+    assert [record[k] for k in keys] == [run["interference"][k] for k in keys]
+    check = run["geodesic_check"][index]
+    keys = ("fd_residual", "analytic_residual")
+    assert [record[k] for k in keys] == [check[k] for k in keys]
+
+
+@pytest.mark.parametrize("index", [0, 1, 2])
+@pytest.mark.parametrize("parameter", ["delta", "chi", "s"])
+def test_sweep_records_equal_runs_of_their_points(capsys, tmp_path, parameter, index):
+    plates = [{"delta": 0.7, "chi": 0.2}, {"delta": 2.9, "chi": -0.45}, {"delta": 0.35, "chi": 1.1}]
+    base = {
+        "input_state": state_payload(0.6, 0.48 + 0.3j, -0.2 + 0.52j),
+        "plates": plates,
+        "outputs": ["phases", "geodesic-check", "interference"],
+        "interference_phi": 0.9,
+        "samples": 41,
+    }
+    grid = {"parameter": parameter, "start": -0.8, "stop": 1.9, "count": 4, "plate_index": index}
+    sweep = run_json(capsys, tmp_path, "sweep", {**base, "sweep": grid})
+    assert len(sweep["records"]) == 4
+    for record in sweep["records"]:
+        plates_here = point_plates(plates, parameter, index, record[parameter])
+        run = run_json(capsys, tmp_path, "run", {**base, "plates": plates_here})
+        assert_record_matches_run(record, run, index)
+
+
+def test_sweep_null_point_agrees_with_the_refused_run(capsys, tmp_path):
+    # all plates at chi = 0 compose to Q(0.3 + delta, 0), which turns |Psi+>
+    # orthogonal at a total thickness of pi/4, the first grid value
+    plates = [{"delta": 0.1, "chi": 0.0}, {"delta": 0.5, "chi": 0.0}, {"delta": 0.2, "chi": 0.0}]
+    base = {
+        "input_state": state_payload(1, 0, 0),
+        "plates": plates,
+        "outputs": ["phases", "geodesic-check", "interference"],
+        "samples": 41,
+    }
+    grid = {"parameter": "delta", "start": PI / 4.0 - 0.3, "stop": 1.0, "count": 3, "plate_index": 1}
+    sweep = run_json(capsys, tmp_path, "sweep", {**base, "sweep": grid})
+    null, *regular = sweep["records"]
+    assert null["pancharatnam"] is None and null["geometric"] is None
+    assert null["fringe_phase"] is None
+    plates_here = point_plates(plates, "delta", 1, null["delta"])
+    path = write_config(tmp_path, {**base, "plates": plates_here})
+    code, _, err = invoke(capsys, "run", "--config", path)
+    assert code == 3 and err.startswith("error:")
+    check = run_json(capsys, tmp_path, "run", {**base, "plates": plates_here, "outputs": ["geodesic-check"]})
+    residuals = check["geodesic_check"][1]
+    assert [null["fd_residual"], null["analytic_residual"]] == [
+        residuals["fd_residual"],
+        residuals["analytic_residual"],
+    ]
+    for record in regular:
+        run = run_json(capsys, tmp_path, "run", {**base, "plates": point_plates(plates, "delta", 1, record["delta"])})
+        assert_record_matches_run(record, run, 1)
+
+
 def test_outputs_render_identically_in_json_and_csv(capsys, tmp_path):
     config = {
         "input_state": state_payload(S, 0.5, 0.5),
