@@ -399,10 +399,11 @@ def _cmd_sweep(config: dict, fmt: str) -> dict:
     scenario = _two_level_from_state(state) if "jump" in outputs else None
     # Plates before the swept one do not depend on the swept value: evolve
     # them once.  Per-point dynamical sums continue from their left-to-right
-    # partial sum, so totals keep the summation order of a full re-run.  The
-    # geodesic check depends on the swept plate's chi alone: one per chi.
+    # partial sum, so totals keep the summation order of a full re-run; the
+    # quadrature runs only when phases are asked for, as it needs 3 samples.
+    # The geodesic check depends on the swept plate's chi alone: one per chi.
     prefix, swept_input = _evolved_segments(state, plates[:index], samples)
-    prefix_dyn = sum(dynamical_phase_numeric(curve) for curve in prefix)
+    prefix_dyn = sum(dynamical_phase_numeric(curve) for curve in prefix) if "phases" in outputs else 0.0
     grid = _check_grid(samples)
     checks: dict[float, tuple[float, float]] = {}
     records = []

@@ -291,6 +291,25 @@ def test_sweep_null_point_agrees_with_the_refused_run(capsys, tmp_path):
         assert_record_matches_run(record, run, 1)
 
 
+@pytest.mark.parametrize("outputs", [["interference"], ["eigen"], ["geodesic-check"], ["jump"]])
+def test_two_sample_sweep_without_phases_runs(capsys, tmp_path, outputs):
+    # the dynamical-phase quadrature needs 3 samples; a sweep that reports
+    # no phases must not run it, not even on the plates before the swept one
+    plates = [{"delta": 0.7, "chi": 0.2}, {"delta": 0.4, "chi": -0.45}, {"delta": 0.35, "chi": 1.1}]
+    config = {
+        "input_state": state_payload(S, S, 0),
+        "plates": plates,
+        "outputs": outputs,
+        "samples": 2,
+        "sweep": {"parameter": "delta", "start": 0.1, "stop": 0.9, "count": 3, "plate_index": 1},
+    }
+    sweep = run_json(capsys, tmp_path, "sweep", config)
+    assert len(sweep["records"]) == 3
+    path = write_config(tmp_path, {**config, "outputs": ["phases"]})
+    code, _, err = invoke(capsys, "sweep", "--config", path)
+    assert code == 3 and "at least 3 samples" in err
+
+
 def test_outputs_render_identically_in_json_and_csv(capsys, tmp_path):
     config = {
         "input_state": state_payload(S, 0.5, 0.5),

@@ -1,19 +1,31 @@
 """Golden-output gate: fixed CLI configs byte-compared with committed output.
 
 The cases cover every subcommand, every output kind of ``run`` and
-``sweep``, JSON and CSV, degree input, emitted curves and an indeterminate
-sweep point.  A change meant to keep every number must pass unchanged.  A
-change that alters output on purpose regenerates the expected files with
-``PYTHONPATH=src python tests/test_golden.py`` and accounts for every
-difference.
+``sweep``, JSON and CSV, degree input, emitted curves, an indeterminate
+sweep point and half-turn eigenvalue arguments.  A change meant to keep every
+number must pass unchanged.  A change that alters output on purpose
+regenerates the expected files with ``PYTHONPATH=src python
+tests/test_golden.py`` and accounts for every difference.
+
+Every reported eigenvector belongs to a simple eigenvalue, so rounding-level
+changes in the plate matrices move the output at rounding level only.  A
+doubled eigenvalue (a plate at delta = k pi/2) leaves its eigenvectors free to
+rotate inside the eigenspace with the last bits of the matrix; the half-turn
+case therefore reports eigenvalue arguments alone, through ``sweep``.  The
+bytes are those of one numpy and LAPACK build: components whose exact value
+is 0 print as rounding noise (down to about 1e-33), which another build may
+round differently.
 """
 
 import contextlib
 import io
+import json
 import os
 
+import numpy as np
 import pytest
 
+from biphase import converters
 from biphase.cli import main
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
@@ -27,7 +39,8 @@ CASES = [
     ("sweep-delta-null", "sweep", "csv"),
     ("sweep-chi-degrees", "sweep", "csv"),
     ("sweep-s-jump", "sweep", "json"),
-    ("eigen-degenerate-composite", "eigen", "json"),
+    ("sweep-half-turn-eigen", "sweep", "csv"),
+    ("eigen-composite", "eigen", "json"),
     ("eigen-quarter-wave-degrees", "eigen", "csv"),
     ("geodesic-pair", "geodesic", "json"),
     ("geodesic-segments", "geodesic", "csv"),
@@ -53,6 +66,33 @@ def expected_path(case: str, fmt: str) -> str:
 def test_cli_output_matches_the_golden_file(case, command, fmt):
     with open(expected_path(case, fmt), "rb") as handle:
         assert render(case, command, fmt) == handle.read()
+
+
+def numbers(value):
+    """Every float of a parsed JSON payload, in document order."""
+    if isinstance(value, dict):
+        return [x for item in value.values() for x in numbers(item)]
+    if isinstance(value, list):
+        return [x for item in value for x in numbers(item)]
+    return [value] if isinstance(value, float) else []
+
+
+@pytest.mark.parametrize("case, command", sorted({(case, command) for case, command, _ in CASES}))
+def test_golden_output_moves_at_rounding_level_with_the_plate_matrices(monkeypatch, case, command):
+    # the gate is only useful if a rounding-level change of Q moves the bytes
+    # at rounding level; an eigenvector of a doubled eigenvalue would not
+    expected = numbers(json.loads(render(case, command, "json")))
+    rng = np.random.default_rng(7)
+    exact = converters.q_stack
+
+    def rounded(deltas, chi):
+        q = exact(deltas, chi)
+        return q * (1.0 + 4e-16 * rng.standard_normal(q.shape))
+
+    monkeypatch.setattr(converters, "q_stack", rounded)
+    for _ in range(3):
+        got = numbers(json.loads(render(case, command, "json")))
+        assert np.max(np.abs(np.subtract(got, expected)), initial=0.0) <= 1e-12
 
 
 if __name__ == "__main__":
