@@ -6,6 +6,12 @@ one state through a plate sequence and reports requested quantities,
 matrices, ``geodesic`` reports residuals for geodesics or evolved segments,
 and ``vertex`` evaluates the polygon phase of a state list.
 
+A plate is a closed-form segment: ``run`` and ``sweep`` propagate each
+state to the plate's endpoint and report its exact dynamical phase
+delta <psi|H|psi>, with no sampled curve in between.  ``samples`` therefore
+sets only the curves ``emit_curve`` adds, the delta grid of the geodesic
+check and the curves of the ``geodesic`` subcommand.
+
 All input is one JSON config document; complex numbers travel as
 [re, im] pairs and angles are radians unless the config sets
 "degrees": true.  Output is JSON or CSV with floats rendered by repr, so
@@ -27,20 +33,20 @@ from typing import Any, Callable, NoReturn, Sequence
 import numpy as np
 
 from .angles import principal
-from .converters import PlateSpec, Unitary3, compose, eigen, eigenvalue_arg, evolve, q_matrix
+from .converters import PlateSpec, Unitary3, compose, eigen, eigenvalue_arg, evolve, propagate, q_matrix
 from .errors import BiphaseError, ConfigError, IndeterminatePhaseError, UsageError
 from .geodesics import (
     GeodesicScenario,
+    _geodesic_residuals,
     curve_length,
     detect_phase_jump,
-    generalized_geodesic_check,
     geodesic_between,
     geodesic_residual,
     horizontality_residual,
     two_level_fringe,
 )
 from .phases import (
-    dynamical_phase_numeric,
+    dynamical_phase_closed_form,
     interference_intensity,
     pancharatnam,
     vertex_product,
@@ -184,16 +190,29 @@ def _parse_epsilon(config: dict, scale: float) -> float:
     return eps
 
 
-def _evolved_segments(
-    state: StateVector, plates: Sequence[PlateSpec], samples: int
-) -> tuple[list[Curve], StateVector]:
-    segments = []
+def _plate_chain(
+    state: StateVector, plates: Sequence[PlateSpec], dynamical: float = 0.0
+) -> tuple[list[StateVector], StateVector, float]:
+    """Input state of each plate, the final state and the dynamical phase.
+
+    Every plate is a closed-form segment: its endpoint is propagated
+    directly and its exact dynamical phase delta <psi|H|psi> is added to
+    ``dynamical`` left to right, so a chain continued from a partial sum
+    ends on the same total, bit for bit, as one run from the start.
+    """
+    inputs = []
     current = state
     for spec in plates:
-        curve = evolve(spec, current, samples)
-        segments.append(curve)
-        current = curve.state(-1)
-    return segments, current
+        inputs.append(current)
+        dynamical += dynamical_phase_closed_form(current, spec)
+        current = propagate(spec, current)
+    return inputs, current, dynamical
+
+
+def _segment_curves(
+    plates: Sequence[PlateSpec], inputs: Sequence[StateVector], samples: int
+) -> list[Curve]:
+    return [evolve(spec, start, samples) for spec, start in zip(plates, inputs)]
 
 
 def _two_level_from_state(state: StateVector) -> GeodesicScenario:
@@ -221,27 +240,38 @@ def _check_grid(samples: int) -> np.ndarray:
     return np.linspace(0.0, math.pi, max(samples, 5))
 
 
-def _phases_quantity(initial: StateVector, segments: Sequence[Curve], final: StateVector) -> dict:
+def _check_residuals(chi: float, grid: np.ndarray, memo: dict[float, tuple[float, float]]) -> tuple[float, float]:
+    """(fd, analytic) geodesic-check residuals; they depend on chi alone."""
+    if chi not in memo:
+        memo[chi] = _geodesic_residuals(chi, grid)
+    return memo[chi]
+
+
+def _phases_quantity(
+    initial: StateVector,
+    plates: Sequence[PlateSpec],
+    inputs: Sequence[StateVector],
+    final: StateVector,
+    dynamical: float,
+) -> dict:
     entries = []
-    total_dynamical = 0.0
-    for i, curve in enumerate(segments):
-        pan = pancharatnam(curve.state(0), curve.state(-1))
-        dyn = dynamical_phase_numeric(curve)
-        total_dynamical += dyn
+    for i, (spec, start, end) in enumerate(zip(plates, inputs, [*inputs[1:], final])):
+        pan = pancharatnam(start, end)
+        dyn = dynamical_phase_closed_form(start, spec)
         entries.append(
             {
                 "plate_index": i,
                 "pancharatnam": pan,
                 "dynamical": dyn,
                 "geometric": principal(pan - dyn),
-                "visibility": visibility(curve.state(0), curve.state(-1)),
+                "visibility": visibility(start, end),
             }
         )
     total_pan = pancharatnam(initial, final)
     total = {
         "pancharatnam": total_pan,
-        "dynamical": total_dynamical,
-        "geometric": principal(total_pan - total_dynamical),
+        "dynamical": dynamical,
+        "geometric": principal(total_pan - dynamical),
         "visibility": visibility(initial, final),
     }
     return {"total": total, "segments": entries}
@@ -307,7 +337,7 @@ def _cmd_run(config: dict, fmt: str) -> dict:
     phi = _as_number(config.get("interference_phi", 0.0), "interference_phi") * scale
     epsilon = _parse_epsilon(config, scale)
 
-    segments, final = _evolved_segments(state, plates, samples)
+    inputs, final, dynamical = _plate_chain(state, plates)
     payload: dict[str, Any] = {
         "command": "run",
         "input_state": _state_payload(state),
@@ -317,7 +347,7 @@ def _cmd_run(config: dict, fmt: str) -> dict:
     }
     for name in outputs:
         if name == "phases":
-            payload["phases"] = _phases_quantity(state, segments, final)
+            payload["phases"] = _phases_quantity(state, plates, inputs, final, dynamical)
         elif name == "eigen":
             payload["eigen"] = [
                 {"plate_index": i, "delta": spec.delta, "chi": spec.chi, **_eigen_entry(q_matrix(spec))}
@@ -325,17 +355,20 @@ def _cmd_run(config: dict, fmt: str) -> dict:
             ]
         elif name == "geodesic-check":
             grid = _check_grid(samples)
-            payload["geodesic_check"] = [
-                {
-                    "plate_index": i,
-                    "chi": spec.chi,
-                    "grid_points": int(grid.size),
-                    "grid_step": float(grid[1] - grid[0]),
-                    "fd_residual": generalized_geodesic_check(spec.chi, grid, method="fd"),
-                    "analytic_residual": generalized_geodesic_check(spec.chi, grid, method="analytic"),
-                }
-                for i, spec in enumerate(plates)
-            ]
+            checks: dict[float, tuple[float, float]] = {}
+            payload["geodesic_check"] = []
+            for i, spec in enumerate(plates):
+                fd, analytic = _check_residuals(spec.chi, grid, checks)
+                payload["geodesic_check"].append(
+                    {
+                        "plate_index": i,
+                        "chi": spec.chi,
+                        "grid_points": int(grid.size),
+                        "grid_step": float(grid[1] - grid[0]),
+                        "fd_residual": fd,
+                        "analytic_residual": analytic,
+                    }
+                )
         elif name == "interference":
             payload["interference"] = _interference_quantity(state, final, phi)
         elif name == "jump":
@@ -346,7 +379,7 @@ def _cmd_run(config: dict, fmt: str) -> dict:
                 "jump": detect_phase_jump(scenario, epsilon),
             }
     if emit_curve:
-        payload["curve"] = _curve_records(segments)
+        payload["curve"] = _curve_records(_segment_curves(plates, inputs, samples))
     return payload
 
 
@@ -397,23 +430,19 @@ def _cmd_sweep(config: dict, fmt: str) -> dict:
     parameter, index, values = _parse_sweep_grid(config, plates, scale)
 
     scenario = _two_level_from_state(state) if "jump" in outputs else None
-    # Plates before the swept one do not depend on the swept value: evolve
-    # them once.  Per-point dynamical sums continue from their left-to-right
-    # partial sum, so totals keep the summation order of a full re-run; the
-    # quadrature runs only when phases are asked for, as it needs 3 samples.
-    # The geodesic check depends on the swept plate's chi alone: one per chi.
-    prefix, swept_input = _evolved_segments(state, plates[:index], samples)
-    prefix_dyn = sum(dynamical_phase_numeric(curve) for curve in prefix) if "phases" in outputs else 0.0
+    # Plates before the swept one do not depend on the swept value: propagate
+    # them once, and continue each point's chain from their partial
+    # dynamical sum, which keeps the summation order of a full run.
+    _, swept_input, prefix_dyn = _plate_chain(state, plates[:index])
     grid = _check_grid(samples)
     checks: dict[float, tuple[float, float]] = {}
     records = []
     for value in values:
         swept = _swept_plate(plates[index], parameter, float(value))
         record: dict[str, Any] = {parameter: float(value)}
-        segments, final = _evolved_segments(swept_input, [swept, *plates[index + 1:]], samples)
+        _, final, dyn = _plate_chain(swept_input, [swept, *plates[index + 1:]], prefix_dyn)
         for name in outputs:
             if name == "phases":
-                dyn = sum((dynamical_phase_numeric(curve) for curve in segments), prefix_dyn)
                 try:
                     pan = pancharatnam(state, final)
                     geo = principal(pan - dyn)
@@ -429,13 +458,7 @@ def _cmd_sweep(config: dict, fmt: str) -> dict:
                 for k, arg in enumerate(entry["eigenvalue_args"], start=1):
                     record[f"eigenvalue_arg_{k}"] = arg
             elif name == "geodesic-check":
-                chi = swept.chi
-                if chi not in checks:
-                    checks[chi] = (
-                        generalized_geodesic_check(chi, grid, method="fd"),
-                        generalized_geodesic_check(chi, grid, method="analytic"),
-                    )
-                record["fd_residual"], record["analytic_residual"] = checks[chi]
+                record["fd_residual"], record["analytic_residual"] = _check_residuals(swept.chi, grid, checks)
             elif name == "interference":
                 record["visibility"] = visibility(state, final)
                 try:
@@ -518,7 +541,8 @@ def _cmd_geodesic(config: dict, fmt: str) -> dict:
     plates = _parse_plates(config.get("plates"), scale, "plates")
     if not plates:
         _fail("geodesic segment mode needs at least one plate")
-    segments, _ = _evolved_segments(state, plates, samples)
+    inputs, _, _ = _plate_chain(state, plates)
+    segments = _segment_curves(plates, inputs, samples)
     payload = {
         "command": "geodesic",
         "samples": samples,

@@ -226,6 +226,10 @@ def _first_significant(column: np.ndarray) -> int:
     return int(np.argmax(np.abs(column)))
 
 
+def _rounded_components(column: np.ndarray) -> tuple:
+    return tuple((round(c.real, 12), round(c.imag, 12)) for c in column)
+
+
 def eigenvalue_arg(value: complex) -> float:
     """Principal argument of an eigenvalue with half-turns reported as +pi.
 
@@ -264,44 +268,67 @@ def eigen(u: Unitary3) -> EigenSystem:
     if float(residuals.max()) > EIGEN_RESIDUAL_TOL:
         raise ConvergenceError(f"eigen residual {residuals.max()!r} above tolerance")
 
-    def sort_key(k: int):
-        col = vectors[:, k]
-        lex = tuple((round(c.real, 12), round(c.imag, 12)) for c in col)
-        return (round(eigenvalue_arg(values[k]), 12), lex)
-
-    order = sorted(range(3), key=sort_key)
+    # Rounded arguments order the pairs; only a tie falls back to comparing
+    # the rounded eigenvectors lexicographically.
+    args = [round(eigenvalue_arg(v), 12) for v in values]
+    if len(set(args)) == 3:
+        order = sorted(range(3), key=args.__getitem__)
+    else:
+        order = sorted(range(3), key=lambda k: (args[k], _rounded_components(vectors[:, k])))
     pairs = tuple(
         (complex(values[k]), StateVector(vectors[:, k], u.basis)) for k in order
     )
     return EigenSystem(pairs)
 
 
+def _propagate_rows(chi: float, thickness: np.ndarray, amplitudes: np.ndarray) -> np.ndarray:
+    """Rows Q(thickness_i, chi) psi, shape (n, 3), in the eigenbasis of H(chi).
+
+    Each row is sum_k exp(i lambda_k s) (V^T psi)_k v_k, formed by
+    element-wise multiply-adds, so its rounding does not depend on how many
+    rows are computed together: a row of ``evolve`` is bit-identical to
+    ``propagate`` at the same thickness.  Rows of zero thickness are the
+    identity analytically and return the input bit-exactly instead of the
+    rounded V V^T product.
+    """
+    v = _eigenbasis(chi)
+    coeffs = v.T @ amplitudes
+    # exp(i lambda s) for the eigenvalues lambda = (2, -2, 0) of H
+    e = np.exp(2j * thickness)[:, None]
+    rows = (e * coeffs[0]) * v[:, 0] + (e.conj() * coeffs[1]) * v[:, 1] + coeffs[2] * v[:, 2]
+    rows[thickness == 0.0] = amplitudes
+    return rows
+
+
+def propagate(spec: PlateSpec, state: StateVector) -> StateVector:
+    """State after the plate, Q(delta, chi) applied to plate-basis amplitudes.
+
+    The endpoint of ``evolve`` without the samples in between, bit for bit.
+    """
+    if state.basis is not Basis.PMZ:
+        raise BasisMismatchError("propagate drives plate-basis amplitudes")
+    return StateVector(_propagate_rows(spec.chi, np.array([spec.delta]), state.amplitudes)[0], Basis.PMZ)
+
+
 def evolve(spec: PlateSpec, state: StateVector, n: int) -> Curve:
     """Curve traced while the plate thickens from zero to ``spec.delta``.
 
-    Samples sit at s_i = delta * i / (n - 1) with the state Q(s_i, chi)
-    applied to the input, propagated in the eigenbasis of H(chi) without
-    building a matrix per sample.  A zero-thickness plate yields a constant
-    curve on a unit parameter interval, and a negative delta is traversed
-    over |delta| with the signed thickness applied, so the parameter grid
-    stays strictly increasing in every case.
+    Samples sit at s_i = |delta| * i / (n - 1) with the state Q(s_i, chi)
+    applied to the input, signed like delta, and the last sample is the
+    ``propagate`` endpoint.  When that grid is not strictly increasing (a
+    zero-thickness plate, or one so thin that the samples repeat subnormal
+    values), the curve runs over the unit interval t_i = i / (n - 1) with
+    thickness delta * t_i instead, so the parameter grid stays strictly
+    increasing in every case.
     """
     if state.basis is not Basis.PMZ:
         raise BasisMismatchError("evolve drives plate-basis amplitudes")
     if n < 2:
         raise UsageError("evolve needs at least 2 samples")
-    if spec.delta == 0.0:
-        grid = np.linspace(0.0, 1.0, n)
-        thickness = np.zeros(n)
-    else:
-        grid = np.linspace(0.0, abs(spec.delta), n)
+    grid = np.linspace(0.0, abs(spec.delta), n)
+    if np.all(np.diff(grid) > 0.0):
         thickness = math.copysign(1.0, spec.delta) * grid
-    v = _eigenbasis(spec.chi)
-    e = np.exp(2j * thickness)
-    # exp(i lambda s) for the eigenvalues lambda = (2, -2, 0) of H
-    phases = np.stack([e, e.conj(), np.ones_like(e)], axis=-1)
-    amps = (phases * (v.T @ state.amplitudes)) @ v.T
-    # Zero thickness is the identity analytically; pin the first sample to
-    # the input bit-exactly instead of the rounded V V^T product.
-    amps[0] = state.amplitudes
-    return Curve(grid, amps, Basis.PMZ)
+    else:
+        grid = np.linspace(0.0, 1.0, n)
+        thickness = spec.delta * grid
+    return Curve(grid, _propagate_rows(spec.chi, thickness, state.amplitudes), Basis.PMZ)

@@ -239,6 +239,27 @@ def detect_phase_jump(scenario: GeodesicScenario, epsilon: float) -> float:
     return after - before
 
 
+def _geodesic_residuals(chi: float, delta_grid: np.ndarray | list[float]) -> tuple[float, float]:
+    """(fd, analytic) residuals of ``generalized_geodesic_check`` from one Q stack."""
+    deltas = np.asarray(delta_grid, dtype=float)
+    if deltas.ndim != 1 or deltas.size < 5:
+        raise UsageError("the delta grid needs at least 5 points")
+    if not np.all(np.isfinite(deltas)):
+        raise UsageError("the delta grid must be finite")
+    if np.any(np.diff(deltas) <= 0.0):
+        raise UsageError("the delta grid must be strictly increasing")
+    h = _uniform_step(deltas)
+    if h is None:
+        raise UsageError("samples must be uniformly spaced")
+    imag = q_stack(deltas, chi).imag
+    acc = (imag[:-2] - 2.0 * imag[1:-1] + imag[2:]) / h**2
+    fd = float(np.max(np.abs(acc + 4.0 * imag[1:-1])))
+    # Im Q = sin(2 delta) H/2, whose second derivative is -4 sin(2 delta) H/2
+    second = -4.0 * np.sin(2.0 * deltas)[:, None, None] * (0.5 * _generator(chi))
+    analytic = float(np.max(np.abs(second + 4.0 * imag)))
+    return fd, analytic
+
+
 def generalized_geodesic_check(
     chi: float, delta_grid: np.ndarray | list[float], *, method: str = "fd"
 ) -> float:
@@ -251,22 +272,9 @@ def generalized_geodesic_check(
     order step^2); ``method="analytic"`` uses the exact second derivative
     and leaves pure rounding noise.
     """
-    deltas = np.asarray(delta_grid, dtype=float)
-    if deltas.ndim != 1 or deltas.size < 5:
-        raise UsageError("the delta grid needs at least 5 points")
-    if not np.all(np.isfinite(deltas)):
-        raise UsageError("the delta grid must be finite")
-    if np.any(np.diff(deltas) <= 0.0):
-        raise UsageError("the delta grid must be strictly increasing")
-    h = _uniform_step(deltas)
-    if h is None:
-        raise UsageError("samples must be uniformly spaced")
-    imag = q_stack(deltas, chi).imag
+    fd, analytic = _geodesic_residuals(chi, delta_grid)
     if method == "analytic":
-        # Im Q = sin(2 delta) H/2, whose second derivative is -4 sin(2 delta) H/2
-        second = -4.0 * np.sin(2.0 * deltas)[:, None, None] * (0.5 * _generator(chi))
-        return float(np.max(np.abs(second + 4.0 * imag)))
+        return analytic
     if method != "fd":
         raise UsageError("method must be 'fd' or 'analytic'")
-    acc = (imag[:-2] - 2.0 * imag[1:-1] + imag[2:]) / h**2
-    return float(np.max(np.abs(acc + 4.0 * imag[1:-1])))
+    return fd

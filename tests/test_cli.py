@@ -1,5 +1,6 @@
 """End-to-end command tests driving biphase.cli.main in process."""
 
+import contextlib
 import csv
 import io
 import json
@@ -7,10 +8,24 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 
+import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 import biphase
+from biphase import (
+    Basis,
+    PlateSpec,
+    StateVector,
+    dynamical_phase_closed_form,
+    dynamical_phase_numeric,
+    evolve,
+    inner,
+    propagate,
+)
 from biphase.cli import main
 
 S = math.sqrt(0.5)
@@ -291,10 +306,20 @@ def test_sweep_null_point_agrees_with_the_refused_run(capsys, tmp_path):
         assert_record_matches_run(record, run, 1)
 
 
+def closed_form_chain(state, plates):
+    """Per-plate closed-form dynamical phases and their left-to-right total."""
+    phases = []
+    for spec in plates:
+        phases.append(dynamical_phase_closed_form(state, spec))
+        state = propagate(spec, state)
+    total = 0.0
+    for phase in phases:
+        total += phase
+    return phases, total
+
+
 @pytest.mark.parametrize("outputs", [["interference"], ["eigen"], ["geodesic-check"], ["jump"]])
 def test_two_sample_sweep_without_phases_runs(capsys, tmp_path, outputs):
-    # the dynamical-phase quadrature needs 3 samples; a sweep that reports
-    # no phases must not run it, not even on the plates before the swept one
     plates = [{"delta": 0.7, "chi": 0.2}, {"delta": 0.4, "chi": -0.45}, {"delta": 0.35, "chi": 1.1}]
     config = {
         "input_state": state_payload(S, S, 0),
@@ -305,9 +330,73 @@ def test_two_sample_sweep_without_phases_runs(capsys, tmp_path, outputs):
     }
     sweep = run_json(capsys, tmp_path, "sweep", config)
     assert len(sweep["records"]) == 3
-    path = write_config(tmp_path, {**config, "outputs": ["phases"]})
-    code, _, err = invoke(capsys, "sweep", "--config", path)
-    assert code == 3 and "at least 3 samples" in err
+    # plate segments take closed-form dynamical phases, so 2 samples also
+    # suffice for phases, in a sweep and in a run
+    state = StateVector.normalized(np.array([S, S, 0], dtype=complex), Basis.PMZ)
+    sweep = run_json(capsys, tmp_path, "sweep", {**config, "outputs": ["phases"]})
+    for record in sweep["records"]:
+        point = point_plates(plates, "delta", 1, record["delta"])
+        _, total = closed_form_chain(state, [PlateSpec(p["delta"], p["chi"]) for p in point])
+        assert record["dynamical"] == total
+        run = run_json(capsys, tmp_path, "run", {**config, "plates": point, "outputs": ["phases"]})
+        assert run["phases"]["total"]["dynamical"] == total
+
+
+def cli_payload(command, config):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(config, handle)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main([command, "--config", path])
+    assert code == 0
+    return json.loads(out.getvalue())
+
+
+# thin and thick plates, including the degenerate delta = k pi/2
+plate_thicknesses = st.one_of(
+    st.floats(min_value=-10.0, max_value=10.0),
+    st.integers(min_value=-8, max_value=8).map(lambda k: k * PI / 2.0),
+)
+plate_specs = st.builds(
+    PlateSpec,
+    plate_thicknesses,
+    st.one_of(st.integers(-8, 8).map(lambda k: k * PI / 4.0), st.floats(-2.0 * PI, 2.0 * PI)),
+)
+
+
+@given(
+    st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=6, max_size=6),
+    st.lists(plate_specs, min_size=1, max_size=4),
+    st.integers(3, 401),
+)
+def test_run_reports_closed_form_dynamical_phases(parts, plates, n):
+    raw = np.array(parts[0::2]) + 1j * np.array(parts[1::2])
+    assume(np.linalg.norm(raw) > 1e-3)
+    state = StateVector.normalized(raw, Basis.PMZ)
+    inputs = [state]
+    for spec in plates:
+        inputs.append(propagate(spec, inputs[-1]))
+    pairs = [*zip(inputs[:-1], inputs[1:]), (inputs[0], inputs[-1])]
+    assume(all(abs(inner(a, b)) >= 1e-9 for a, b in pairs))  # determinate phases
+    config = {
+        "input_state": state_payload(*raw),
+        "plates": [{"delta": spec.delta, "chi": spec.chi} for spec in plates],
+        "samples": n,
+    }
+    phases = cli_payload("run", config)["phases"]
+    segments, total = closed_form_chain(state, plates)
+    assert [entry["dynamical"] for entry in phases["segments"]] == segments
+    assert phases["total"]["dynamical"] == total
+    # the quadrature estimate on n samples stays a cross-check: its error
+    # grows as |delta|^3 / n^2.  Plates thinner than 1e-100 are left out:
+    # np.gradient underflows on their steps (the strict xfail
+    # test_dynamical_phase_numeric_resolves_a_tiny_step records it)
+    for spec, start, closed in zip(plates, inputs, segments):
+        if spec.delta == 0.0 or abs(spec.delta) >= 1e-100:
+            numeric = dynamical_phase_numeric(evolve(spec, start, n))
+            assert abs(numeric - closed) <= 2.0 * abs(spec.delta) ** 3 / n**2 + 1e-12
 
 
 def test_outputs_render_identically_in_json_and_csv(capsys, tmp_path):
@@ -520,6 +609,21 @@ def test_emit_curve_returns_samples_in_json_only(capsys, tmp_path):
     code, _, err = invoke(capsys, "run", "--config", path, "--format", "csv")
     assert code == 2
     assert "emit_curve" in err
+
+
+def test_emitted_curve_ends_on_the_output_state(capsys, tmp_path):
+    config = {
+        "input_state": state_payload(0.6, 0.48 + 0.3j, -0.2 + 0.52j),
+        "plates": [{"delta": 0.7, "chi": 0.2}, {"delta": 29.3, "chi": -0.45}, {"delta": -0.35, "chi": 1.1}],
+        "samples": 17,
+        "emit_curve": True,
+    }
+    payload = run_json(capsys, tmp_path, "run", config)
+    curve = payload["curve"]
+    assert len(curve) == 3 * 17
+    assert curve[-1][1] == payload["output_state"]["amplitudes"]
+    for k in (1, 2):  # each segment starts on the endpoint of the one before
+        assert curve[17 * k][1] == curve[17 * k - 1][1]
 
 
 def test_out_file_and_quiet_flag(capsys, tmp_path):

@@ -23,6 +23,7 @@ from biphase import (
     g_matrix,
     plate_coefficients,
     principal,
+    propagate,
     q_matrix,
     q_stack,
 )
@@ -185,9 +186,6 @@ thicknesses = st.one_of(
     st.floats(min_value=-1e9, max_value=1e9),
     st.integers(min_value=-600_000_000, max_value=600_000_000).map(lambda k: k * math.pi / 2.0),
 )
-# evolve refuses a nonzero plate thinner than about n * 5e-324 (see
-# test_evolve_resolves_a_subnormal_plate), so its property leaves those out
-resolvable_thicknesses = thicknesses.filter(lambda d: d == 0.0 or abs(d) >= 1e-200)
 # axis-aligned and diagonal orientations chi = k pi/4 as well as generic ones
 orientations = st.one_of(
     st.integers(min_value=-16, max_value=16).map(lambda k: k * math.pi / 4.0),
@@ -205,24 +203,24 @@ def test_spectral_q_stack_matches_the_conjugated_g_oracle(deltas, chi):
     assert np.max(np.abs(defect)) <= 1e-12
 
 
-@given(resolvable_thicknesses, orientations, st.lists(components, min_size=6, max_size=6), st.integers(2, 40))
+@given(thicknesses, orientations, st.lists(components, min_size=6, max_size=6), st.integers(2, 40))
 def test_spectral_evolve_matches_the_conjugated_g_oracle(delta, chi, parts, n):
     raw = np.array(parts[0::2]) + 1j * np.array(parts[1::2])
     assume(np.linalg.norm(raw) > 1e-3)
     state = StateVector.normalized(raw, Basis.PMZ)
     curve = evolve(PlateSpec(delta, chi), state, n)
     assert np.array_equal(curve.amplitudes[0], state.amplitudes)
-    thickness = math.copysign(1.0, delta) * curve.s if delta != 0.0 else np.zeros(n)
+    # the grid runs over |delta|, or over [0, 1] with thickness delta * t when
+    # the plate is too thin (or zero) for a strictly increasing |delta| grid
+    if curve.s[-1] == abs(delta):
+        thickness = math.copysign(1.0, delta) * curve.s
+    else:
+        thickness = delta * curve.s
     expected = oracle_q_stack(thickness, chi) @ state.amplitudes
     assert np.max(np.abs(curve.amplitudes - expected)) <= 1e-12
     assert np.max(np.abs(np.linalg.norm(curve.amplitudes, axis=1) - 1.0)) <= 1e-12
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=UsageError,
-    reason="known defect: evolve samples |delta| with np.linspace, which repeats subnormal values",
-)
 def test_evolve_resolves_a_subnormal_plate():
     state = StateVector.normalized(np.array([0.6, 0.48 + 0.3j, -0.2 + 0.52j]), Basis.PMZ)
     curve = evolve(PlateSpec(5e-324, 0.3), state, 3)
@@ -351,6 +349,27 @@ def test_eigen_is_deterministic():
         assert np.array_equal(a.amplitudes, b.amplitudes)
 
 
+def full_sort_key(value: complex, vector: np.ndarray) -> tuple:
+    """The rounded (argument, eigenvector) key eigen once built for every pair."""
+    lex = tuple((round(c.real, 12), round(c.imag, 12)) for c in vector)
+    return (round(eigenvalue_arg(value), 12), lex)
+
+
+def test_eigen_order_equals_the_full_lexicographic_key(rng):
+    # eigen compares rounded eigenvectors only when two rounded arguments tie;
+    # its order must be the one the full key gives on every kind of input
+    chis = [float(chi) for chi in np.linspace(-math.pi, math.pi, 25)]
+    deltas = [k * math.pi / 4.0 for k in range(-8, 9)] + [k * math.pi / 2.0 for k in (-101, -7, 5, 101)]
+    matrices = [q_matrix(random_spec(rng)) for _ in range(200)]
+    matrices += [q_matrix(PlateSpec(delta, chi)) for delta in deltas for chi in chis]
+    for _ in range(200):
+        matrices.append(compose([q_matrix(random_spec(rng)) for _ in range(int(rng.integers(1, 17)))]))
+    for u in matrices:
+        keys = [full_sort_key(value, state.amplitudes) for value, state in eigen(u).pairs]
+        assert len(set(keys)) == 3
+        assert keys == sorted(keys)
+
+
 def test_eigen_keeps_orthonormal_vectors_at_degeneracies():
     # delta = pi/2 doubles the -1 eigenvalue; the QR factor of the eigenvector
     # matrix keeps an orthonormal basis inside the degenerate eigenspace
@@ -442,6 +461,27 @@ def test_evolve_negative_thickness_runs_over_its_magnitude(rng):
     assert curve.s[-1] == pytest.approx(0.7)
     endpoint = q_matrix(spec).matrix @ state.amplitudes
     assert np.max(np.abs(curve.state(-1).amplitudes - endpoint)) < 1e-12
+
+
+@pytest.mark.parametrize("delta", [0.9, -0.7, 0.0, 5e-324, 30.0])
+def test_propagate_is_the_endpoint_of_evolve(rng, delta):
+    for n in (2, 3, 41, 2001):
+        state = random_state(rng)
+        spec = PlateSpec(delta, float(rng.uniform(-math.pi, math.pi)))
+        assert np.array_equal(propagate(spec, state).amplitudes, evolve(spec, state, n).amplitudes[-1])
+
+
+def test_zero_thickness_returns_the_input_bit_exactly(rng):
+    state = random_state(rng)
+    spec = PlateSpec(0.0, 0.4)
+    assert np.array_equal(propagate(spec, state).amplitudes, state.amplitudes)
+    assert np.array_equal(evolve(spec, state, 7).amplitudes, np.tile(state.amplitudes, (7, 1)))
+
+
+def test_propagate_drives_plate_basis_amplitudes_only():
+    fock = StateVector(np.array([1.0, 0.0, 0.0], dtype=complex), Basis.FOCK)
+    with pytest.raises(BasisMismatchError):
+        propagate(PlateSpec(0.5, 0.0), fock)
 
 
 def test_evolve_validates_input(rng):
