@@ -307,15 +307,13 @@ def test_sweep_null_point_agrees_with_the_refused_run(capsys, tmp_path):
 
 
 def closed_form_chain(state, plates):
-    """Per-plate closed-form dynamical phases and their left-to-right total."""
-    phases = []
+    """States along the plates, their closed-form dynamical phases and the left-to-right total."""
+    states, phases, total = [state], [], 0.0
     for spec in plates:
-        phases.append(dynamical_phase_closed_form(state, spec))
-        state = propagate(spec, state)
-    total = 0.0
-    for phase in phases:
-        total += phase
-    return phases, total
+        phases.append(dynamical_phase_closed_form(states[-1], spec))
+        total += phases[-1]
+        states.append(propagate(spec, states[-1]))
+    return states, phases, total
 
 
 @pytest.mark.parametrize("outputs", [["interference"], ["eigen"], ["geodesic-check"], ["jump"]])
@@ -336,7 +334,7 @@ def test_two_sample_sweep_without_phases_runs(capsys, tmp_path, outputs):
     sweep = run_json(capsys, tmp_path, "sweep", {**config, "outputs": ["phases"]})
     for record in sweep["records"]:
         point = point_plates(plates, "delta", 1, record["delta"])
-        _, total = closed_form_chain(state, [PlateSpec(p["delta"], p["chi"]) for p in point])
+        _, _, total = closed_form_chain(state, [PlateSpec(p["delta"], p["chi"]) for p in point])
         assert record["dynamical"] == total
         run = run_json(capsys, tmp_path, "run", {**config, "plates": point, "outputs": ["phases"]})
         assert run["phases"]["total"]["dynamical"] == total
@@ -374,11 +372,8 @@ plate_specs = st.builds(
 def test_run_reports_closed_form_dynamical_phases(parts, plates, n):
     raw = np.array(parts[0::2]) + 1j * np.array(parts[1::2])
     assume(np.linalg.norm(raw) > 1e-3)
-    state = StateVector.normalized(raw, Basis.PMZ)
-    inputs = [state]
-    for spec in plates:
-        inputs.append(propagate(spec, inputs[-1]))
-    pairs = [*zip(inputs[:-1], inputs[1:]), (inputs[0], inputs[-1])]
+    states, segments, total = closed_form_chain(StateVector.normalized(raw, Basis.PMZ), plates)
+    pairs = [*zip(states[:-1], states[1:]), (states[0], states[-1])]
     assume(all(abs(inner(a, b)) >= 1e-9 for a, b in pairs))  # determinate phases
     config = {
         "input_state": state_payload(*raw),
@@ -386,14 +381,13 @@ def test_run_reports_closed_form_dynamical_phases(parts, plates, n):
         "samples": n,
     }
     phases = cli_payload("run", config)["phases"]
-    segments, total = closed_form_chain(state, plates)
     assert [entry["dynamical"] for entry in phases["segments"]] == segments
     assert phases["total"]["dynamical"] == total
     # the quadrature estimate on n samples stays a cross-check: its error
     # grows as |delta|^3 / n^2.  Plates thinner than 1e-100 are left out:
     # np.gradient underflows on their steps (the strict xfail
     # test_dynamical_phase_numeric_resolves_a_tiny_step records it)
-    for spec, start, closed in zip(plates, inputs, segments):
+    for spec, start, closed in zip(plates, states, segments):
         if spec.delta == 0.0 or abs(spec.delta) >= 1e-100:
             numeric = dynamical_phase_numeric(evolve(spec, start, n))
             assert abs(numeric - closed) <= 2.0 * abs(spec.delta) ** 3 / n**2 + 1e-12
