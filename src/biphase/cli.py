@@ -192,8 +192,8 @@ def _parse_epsilon(config: dict, scale: float) -> float:
 
 def _plate_chain(
     state: StateVector, plates: Sequence[PlateSpec], dynamical: float = 0.0
-) -> tuple[list[StateVector], StateVector, float]:
-    """Input state of each plate, the final state and the dynamical phase.
+) -> tuple[list[StateVector], StateVector, list[float], float]:
+    """Input state and dynamical phase of each plate, the final state and the total.
 
     Every plate is a closed-form segment: its endpoint is propagated
     directly and its exact dynamical phase delta <psi|H|psi> is added to
@@ -201,18 +201,26 @@ def _plate_chain(
     ends on the same total, bit for bit, as one run from the start.
     """
     inputs = []
+    phases = []
     current = state
     for spec in plates:
         inputs.append(current)
-        dynamical += dynamical_phase_closed_form(current, spec)
+        phases.append(dynamical_phase_closed_form(current, spec))
+        dynamical += phases[-1]
         current = propagate(spec, current)
-    return inputs, current, dynamical
+    return inputs, current, phases, dynamical
 
 
-def _segment_curves(
-    plates: Sequence[PlateSpec], inputs: Sequence[StateVector], samples: int
+def _evolved_segments(
+    state: StateVector, plates: Sequence[PlateSpec], samples: int
 ) -> list[Curve]:
-    return [evolve(spec, start, samples) for spec, start in zip(plates, inputs)]
+    segments = []
+    current = state
+    for spec in plates:
+        curve = evolve(spec, current, samples)
+        segments.append(curve)
+        current = curve.state(-1)
+    return segments
 
 
 def _two_level_from_state(state: StateVector) -> GeodesicScenario:
@@ -249,15 +257,14 @@ def _check_residuals(chi: float, grid: np.ndarray, memo: dict[float, tuple[float
 
 def _phases_quantity(
     initial: StateVector,
-    plates: Sequence[PlateSpec],
     inputs: Sequence[StateVector],
     final: StateVector,
+    phases: Sequence[float],
     dynamical: float,
 ) -> dict:
     entries = []
-    for i, (spec, start, end) in enumerate(zip(plates, inputs, [*inputs[1:], final])):
+    for i, (start, end, dyn) in enumerate(zip(inputs, [*inputs[1:], final], phases)):
         pan = pancharatnam(start, end)
-        dyn = dynamical_phase_closed_form(start, spec)
         entries.append(
             {
                 "plate_index": i,
@@ -337,7 +344,7 @@ def _cmd_run(config: dict, fmt: str) -> dict:
     phi = _as_number(config.get("interference_phi", 0.0), "interference_phi") * scale
     epsilon = _parse_epsilon(config, scale)
 
-    inputs, final, dynamical = _plate_chain(state, plates)
+    inputs, final, phases, dynamical = _plate_chain(state, plates)
     payload: dict[str, Any] = {
         "command": "run",
         "input_state": _state_payload(state),
@@ -347,7 +354,7 @@ def _cmd_run(config: dict, fmt: str) -> dict:
     }
     for name in outputs:
         if name == "phases":
-            payload["phases"] = _phases_quantity(state, plates, inputs, final, dynamical)
+            payload["phases"] = _phases_quantity(state, inputs, final, phases, dynamical)
         elif name == "eigen":
             payload["eigen"] = [
                 {"plate_index": i, "delta": spec.delta, "chi": spec.chi, **_eigen_entry(q_matrix(spec))}
@@ -355,10 +362,9 @@ def _cmd_run(config: dict, fmt: str) -> dict:
             ]
         elif name == "geodesic-check":
             grid = _check_grid(samples)
-            checks: dict[float, tuple[float, float]] = {}
             payload["geodesic_check"] = []
             for i, spec in enumerate(plates):
-                fd, analytic = _check_residuals(spec.chi, grid, checks)
+                fd, analytic = _geodesic_residuals(spec.chi, grid)
                 payload["geodesic_check"].append(
                     {
                         "plate_index": i,
@@ -379,7 +385,7 @@ def _cmd_run(config: dict, fmt: str) -> dict:
                 "jump": detect_phase_jump(scenario, epsilon),
             }
     if emit_curve:
-        payload["curve"] = _curve_records(_segment_curves(plates, inputs, samples))
+        payload["curve"] = _curve_records(_evolved_segments(state, plates, samples))
     return payload
 
 
@@ -433,14 +439,14 @@ def _cmd_sweep(config: dict, fmt: str) -> dict:
     # Plates before the swept one do not depend on the swept value: propagate
     # them once, and continue each point's chain from their partial
     # dynamical sum, which keeps the summation order of a full run.
-    _, swept_input, prefix_dyn = _plate_chain(state, plates[:index])
+    _, swept_input, _, prefix_dyn = _plate_chain(state, plates[:index])
     grid = _check_grid(samples)
     checks: dict[float, tuple[float, float]] = {}
     records = []
     for value in values:
         swept = _swept_plate(plates[index], parameter, float(value))
         record: dict[str, Any] = {parameter: float(value)}
-        _, final, dyn = _plate_chain(swept_input, [swept, *plates[index + 1:]], prefix_dyn)
+        _, final, _, dyn = _plate_chain(swept_input, [swept, *plates[index + 1:]], prefix_dyn)
         for name in outputs:
             if name == "phases":
                 try:
@@ -541,8 +547,7 @@ def _cmd_geodesic(config: dict, fmt: str) -> dict:
     plates = _parse_plates(config.get("plates"), scale, "plates")
     if not plates:
         _fail("geodesic segment mode needs at least one plate")
-    inputs, _, _ = _plate_chain(state, plates)
-    segments = _segment_curves(plates, inputs, samples)
+    segments = _evolved_segments(state, plates, samples)
     payload = {
         "command": "geodesic",
         "samples": samples,

@@ -316,27 +316,32 @@ def closed_form_chain(state, plates):
     return states, phases, total
 
 
+TWO_SAMPLE_PLATES = [{"delta": 0.7, "chi": 0.2}, {"delta": 0.4, "chi": -0.45}, {"delta": 0.35, "chi": 1.1}]
+TWO_SAMPLE_SWEEP = {
+    "input_state": state_payload(S, S, 0),
+    "plates": TWO_SAMPLE_PLATES,
+    "samples": 2,
+    "sweep": {"parameter": "delta", "start": 0.1, "stop": 0.9, "count": 3, "plate_index": 1},
+}
+
+
 @pytest.mark.parametrize("outputs", [["interference"], ["eigen"], ["geodesic-check"], ["jump"]])
 def test_two_sample_sweep_without_phases_runs(capsys, tmp_path, outputs):
-    plates = [{"delta": 0.7, "chi": 0.2}, {"delta": 0.4, "chi": -0.45}, {"delta": 0.35, "chi": 1.1}]
-    config = {
-        "input_state": state_payload(S, S, 0),
-        "plates": plates,
-        "outputs": outputs,
-        "samples": 2,
-        "sweep": {"parameter": "delta", "start": 0.1, "stop": 0.9, "count": 3, "plate_index": 1},
-    }
-    sweep = run_json(capsys, tmp_path, "sweep", config)
+    sweep = run_json(capsys, tmp_path, "sweep", {**TWO_SAMPLE_SWEEP, "outputs": outputs})
     assert len(sweep["records"]) == 3
+
+
+def test_two_sample_phases_sweep_and_run_report_closed_form_totals(capsys, tmp_path):
     # plate segments take closed-form dynamical phases, so 2 samples also
     # suffice for phases, in a sweep and in a run
+    config = {**TWO_SAMPLE_SWEEP, "outputs": ["phases"]}
     state = StateVector.normalized(np.array([S, S, 0], dtype=complex), Basis.PMZ)
-    sweep = run_json(capsys, tmp_path, "sweep", {**config, "outputs": ["phases"]})
+    sweep = run_json(capsys, tmp_path, "sweep", config)
     for record in sweep["records"]:
-        point = point_plates(plates, "delta", 1, record["delta"])
+        point = point_plates(TWO_SAMPLE_PLATES, "delta", 1, record["delta"])
         _, _, total = closed_form_chain(state, [PlateSpec(p["delta"], p["chi"]) for p in point])
         assert record["dynamical"] == total
-        run = run_json(capsys, tmp_path, "run", {**config, "plates": point, "outputs": ["phases"]})
+        run = run_json(capsys, tmp_path, "run", {**config, "plates": point})
         assert run["phases"]["total"]["dynamical"] == total
 
 
