@@ -8,9 +8,12 @@ and ``vertex`` evaluates the polygon phase of a state list.
 
 A plate is a closed-form segment: ``run`` and ``sweep`` propagate each
 state to the plate's endpoint and report its exact dynamical phase
-delta <psi|H|psi>, with no sampled curve in between.  ``samples`` therefore
-sets only the curves ``emit_curve`` adds, the delta grid of the geodesic
-check and the curves of the ``geodesic`` subcommand.
+delta <psi|H|psi>, with no sampled curve in between.  Both go through one
+evaluator that propagates all grid points of a sweep together; a run is a
+sweep of one point.  ``samples`` therefore sets only the curves
+``emit_curve`` adds, the delta grid of the geodesic check and the curves of
+the ``geodesic`` subcommand.  Single-plate eigensystems are closed form
+(``plate_eigen``); only the composite of ``eigen`` runs the eig + QR solver.
 
 All input is one JSON config document; complex numbers travel as
 [re, im] pairs and angles are radians unless the config sets
@@ -28,15 +31,29 @@ import io
 import json
 import math
 import sys
-from typing import Any, Callable, NoReturn, Sequence
+from typing import Any, Callable, NamedTuple, NoReturn, Sequence
 
 import numpy as np
 
 from .angles import principal
-from .converters import PlateSpec, Unitary3, compose, eigen, eigenvalue_arg, evolve, propagate, q_matrix
+from .converters import (
+    EigenSystem,
+    PlateSpec,
+    _eigenbasis,
+    _generator,
+    _plate_eigenvalues,
+    _propagate_rows,
+    compose,
+    eigen,
+    eigenvalue_arg,
+    evolve,
+    plate_eigen,
+    q_matrix,
+)
 from .errors import BiphaseError, ConfigError, IndeterminatePhaseError, UsageError
 from .geodesics import (
     GeodesicScenario,
+    _check_waves,
     _geodesic_residuals,
     curve_length,
     detect_phase_jump,
@@ -46,11 +63,11 @@ from .geodesics import (
     two_level_fringe,
 )
 from .phases import (
-    dynamical_phase_closed_form,
-    interference_intensity,
-    pancharatnam,
+    _expectations,
+    _overlap_intensity,
+    _overlap_phase,
+    _overlap_visibility,
     vertex_product,
-    visibility,
 )
 from .state_space import Basis, Curve, StateVector, inner, to_pmz
 
@@ -103,8 +120,8 @@ def _amplitude_pairs(amps: np.ndarray) -> list[list[float]]:
     return [_complex_pair(complex(z)) for z in amps]
 
 
-def _state_payload(state: StateVector) -> dict:
-    return {"basis": state.basis.value, "amplitudes": _amplitude_pairs(state.amplitudes)}
+def _state_payload(amplitudes: np.ndarray) -> dict:
+    return {"basis": Basis.PMZ.value, "amplitudes": _amplitude_pairs(amplitudes)}
 
 
 def _parse_state(raw: Any, where: str) -> StateVector:
@@ -190,25 +207,56 @@ def _parse_epsilon(config: dict, scale: float) -> float:
     return eps
 
 
-def _plate_chain(
-    state: StateVector, plates: Sequence[PlateSpec], dynamical: float = 0.0
-) -> tuple[list[StateVector], StateVector, list[float], float]:
-    """Input state and dynamical phase of each plate, the final state and the total.
+class _Chain(NamedTuple):
+    """A plate chain evaluated at every grid point, each array one row per point."""
 
-    Every plate is a closed-form segment: its endpoint is propagated
-    directly and its exact dynamical phase delta <psi|H|psi> is added to
-    ``dynamical`` left to right, so a chain continued from a partial sum
-    ends on the same total, bit for bit, as one run from the start.
+    #: amplitudes entering each plate, then those leaving the last, (points, 3)
+    states: list[np.ndarray]
+    #: closed-form dynamical phase of each plate, (points,)
+    phases: list[np.ndarray]
+    #: left-to-right sum of the phases, (points,)
+    dynamical: np.ndarray
+
+
+def _column(plates: Sequence[PlateSpec]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenbasis V, generator H and thickness of one chain position, for each of its plates.
+
+    Plates of one orientation share a single V and H.
     """
-    inputs = []
-    phases = []
-    current = state
-    for spec in plates:
-        inputs.append(current)
-        phases.append(dynamical_phase_closed_form(current, spec))
-        dynamical += phases[-1]
-        current = propagate(spec, current)
-    return inputs, current, phases, dynamical
+    if len({spec.chi for spec in plates}) == 1:
+        basis, generator = _eigenbasis(plates[0].chi), _generator(plates[0].chi)
+    else:
+        basis = np.stack([_eigenbasis(spec.chi) for spec in plates])
+        generator = np.stack([_generator(spec.chi) for spec in plates])
+    return basis, generator, np.array([spec.delta for spec in plates])
+
+
+def _evaluate(
+    state: StateVector, head: Sequence[PlateSpec], swept: Sequence[PlateSpec], tail: Sequence[PlateSpec]
+) -> _Chain:
+    """Closed-form chain head, swept[i], tail for every grid point i.
+
+    ``swept`` holds the plate each point puts between the fixed ``head``
+    and ``tail`` plates; with no swept plates there is one point, a run.
+    Every plate propagates its input rows to its endpoint and adds its
+    exact dynamical phase delta <psi|H|psi> to the total, left to right.
+    The head runs once, on one row shared by every point; the swept plate
+    takes all its rows from one ``_propagate_rows`` call, and each tail
+    plate from one more.  Row results do not depend on how many points
+    share a call, so a sweep point equals the run of that point bit for bit.
+    """
+    columns = [_column([spec]) for spec in head]
+    if swept:
+        columns.append(_column(swept))
+    columns.extend(_column([spec]) for spec in tail)
+    rows = state.amplitudes[None, :]
+    states, phases, dynamical = [rows], [], np.zeros(1)
+    for basis, generator, thickness in columns:
+        phases.append(thickness * _expectations(generator, rows))
+        dynamical = dynamical + phases[-1]
+        rows = _propagate_rows(basis, thickness, rows)
+        states.append(rows)
+    return _Chain(states, phases, dynamical)
 
 
 def _evolved_segments(
@@ -234,8 +282,7 @@ def _two_level_from_state(state: StateVector) -> GeodesicScenario:
     )
 
 
-def _eigen_entry(unitary: Unitary3) -> dict:
-    system = eigen(unitary)
+def _eigen_entry(system: EigenSystem) -> dict:
     return {
         "eigenvalues": [_complex_pair(v) for v in system.values],
         "eigenvalue_args": [eigenvalue_arg(v) for v in system.values],
@@ -248,49 +295,47 @@ def _check_grid(samples: int) -> np.ndarray:
     return np.linspace(0.0, math.pi, max(samples, 5))
 
 
-def _check_residuals(chi: float, grid: np.ndarray, memo: dict[float, tuple[float, float]]) -> tuple[float, float]:
-    """(fd, analytic) geodesic-check residuals; they depend on chi alone."""
-    if chi not in memo:
-        memo[chi] = _geodesic_residuals(chi, grid)
-    return memo[chi]
+def _overlaps(a: np.ndarray, b: np.ndarray) -> list[complex]:
+    """<a_i|b_i> for each pair of rows (rows broadcast), as Python complex numbers."""
+    return np.vecdot(a, b).tolist()
 
 
-def _phases_quantity(
-    initial: StateVector,
-    inputs: Sequence[StateVector],
-    final: StateVector,
-    phases: Sequence[float],
-    dynamical: float,
-) -> dict:
+def _phases_quantity(chain: _Chain) -> dict:
+    # a run: one point, so every array holds one row
+    states = chain.states
     entries = []
-    for i, (start, end, dyn) in enumerate(zip(inputs, [*inputs[1:], final], phases)):
-        pan = pancharatnam(start, end)
+    for i, (start, end, dyn) in enumerate(zip(states, states[1:], chain.phases)):
+        (z,) = _overlaps(start, end)
+        pan = _overlap_phase(z)
+        dyn = float(dyn[0])
         entries.append(
             {
                 "plate_index": i,
                 "pancharatnam": pan,
                 "dynamical": dyn,
                 "geometric": principal(pan - dyn),
-                "visibility": visibility(start, end),
+                "visibility": _overlap_visibility(z),
             }
         )
-    total_pan = pancharatnam(initial, final)
+    (z,) = _overlaps(states[0], states[-1])
+    total_pan = _overlap_phase(z)
+    dynamical = float(chain.dynamical[0])
     total = {
         "pancharatnam": total_pan,
         "dynamical": dynamical,
         "geometric": principal(total_pan - dynamical),
-        "visibility": visibility(initial, final),
+        "visibility": _overlap_visibility(z),
     }
     return {"total": total, "segments": entries}
 
 
-def _interference_quantity(initial: StateVector, final: StateVector, phi: float) -> dict:
-    vis = visibility(initial, final)
+def _interference_quantity(z: complex, phi: float) -> dict:
+    vis = _overlap_visibility(z)
     return {
         "phi": phi,
         "visibility": vis,
-        "fringe_phase": pancharatnam(initial, final),
-        "intensity": interference_intensity(initial, final, phi),
+        "fringe_phase": _overlap_phase(z),
+        "intensity": _overlap_intensity(z, phi),
         "max_intensity": 2.0 + 2.0 * vis,
         "min_intensity": 2.0 - 2.0 * vis,
     }
@@ -344,27 +389,30 @@ def _cmd_run(config: dict, fmt: str) -> dict:
     phi = _as_number(config.get("interference_phi", 0.0), "interference_phi") * scale
     epsilon = _parse_epsilon(config, scale)
 
-    inputs, final, phases, dynamical = _plate_chain(state, plates)
+    chain = _evaluate(state, plates, [], [])
+    final = chain.states[-1]
+    (z,) = _overlaps(state.amplitudes, final)
     payload: dict[str, Any] = {
         "command": "run",
-        "input_state": _state_payload(state),
+        "input_state": _state_payload(state.amplitudes),
         "plates": [{"delta": spec.delta, "chi": spec.chi} for spec in plates],
         "samples": samples,
-        "output_state": _state_payload(final),
+        "output_state": _state_payload(final[0]),
     }
     for name in outputs:
         if name == "phases":
-            payload["phases"] = _phases_quantity(state, inputs, final, phases, dynamical)
+            payload["phases"] = _phases_quantity(chain)
         elif name == "eigen":
             payload["eigen"] = [
-                {"plate_index": i, "delta": spec.delta, "chi": spec.chi, **_eigen_entry(q_matrix(spec))}
+                {"plate_index": i, "delta": spec.delta, "chi": spec.chi, **_eigen_entry(plate_eigen(spec))}
                 for i, spec in enumerate(plates)
             ]
         elif name == "geodesic-check":
             grid = _check_grid(samples)
+            waves = _check_waves(grid)
             payload["geodesic_check"] = []
             for i, spec in enumerate(plates):
-                fd, analytic = _geodesic_residuals(spec.chi, grid)
+                fd, analytic = _geodesic_residuals(spec.chi, waves)
                 payload["geodesic_check"].append(
                     {
                         "plate_index": i,
@@ -376,7 +424,7 @@ def _cmd_run(config: dict, fmt: str) -> dict:
                     }
                 )
         elif name == "interference":
-            payload["interference"] = _interference_quantity(state, final, phi)
+            payload["interference"] = _interference_quantity(z, phi)
         elif name == "jump":
             scenario = _two_level_from_state(state)
             payload["jump"] = {
@@ -436,21 +484,18 @@ def _cmd_sweep(config: dict, fmt: str) -> dict:
     parameter, index, values = _parse_sweep_grid(config, plates, scale)
 
     scenario = _two_level_from_state(state) if "jump" in outputs else None
-    # Plates before the swept one do not depend on the swept value: propagate
-    # them once, and continue each point's chain from their partial
-    # dynamical sum, which keeps the summation order of a full run.
-    _, swept_input, _, prefix_dyn = _plate_chain(state, plates[:index])
-    grid = _check_grid(samples)
+    swept = [_swept_plate(plates[index], parameter, value) for value in values.tolist()]
+    chain = _evaluate(state, plates[:index], swept, plates[index + 1:])
+    overlaps = _overlaps(state.amplitudes, chain.states[-1])
+    waves = _check_waves(_check_grid(samples)) if "geodesic-check" in outputs else None
     checks: dict[float, tuple[float, float]] = {}
     records = []
-    for value in values:
-        swept = _swept_plate(plates[index], parameter, float(value))
-        record: dict[str, Any] = {parameter: float(value)}
-        _, final, _, dyn = _plate_chain(swept_input, [swept, *plates[index + 1:]], prefix_dyn)
+    for value, spec, z, dyn in zip(values.tolist(), swept, overlaps, chain.dynamical.tolist()):
+        record: dict[str, Any] = {parameter: value}
         for name in outputs:
             if name == "phases":
                 try:
-                    pan = pancharatnam(state, final)
+                    pan = _overlap_phase(z)
                     geo = principal(pan - dyn)
                 except IndeterminatePhaseError:
                     pan = None
@@ -458,23 +503,24 @@ def _cmd_sweep(config: dict, fmt: str) -> dict:
                 record["pancharatnam"] = pan
                 record["dynamical"] = dyn
                 record["geometric"] = geo
-                record["visibility"] = visibility(state, final)
+                record["visibility"] = _overlap_visibility(z)
             elif name == "eigen":
-                entry = _eigen_entry(q_matrix(swept))
-                for k, arg in enumerate(entry["eigenvalue_args"], start=1):
-                    record[f"eigenvalue_arg_{k}"] = arg
+                for k, value in enumerate(_plate_eigenvalues(spec), start=1):
+                    record[f"eigenvalue_arg_{k}"] = eigenvalue_arg(value)
             elif name == "geodesic-check":
-                record["fd_residual"], record["analytic_residual"] = _check_residuals(swept.chi, grid, checks)
+                if spec.chi not in checks:
+                    checks[spec.chi] = _geodesic_residuals(spec.chi, waves)
+                record["fd_residual"], record["analytic_residual"] = checks[spec.chi]
             elif name == "interference":
-                record["visibility"] = visibility(state, final)
+                record["visibility"] = _overlap_visibility(z)
                 try:
-                    record["fringe_phase"] = pancharatnam(state, final)
+                    record["fringe_phase"] = _overlap_phase(z)
                 except IndeterminatePhaseError:
                     record["fringe_phase"] = None
-                record["intensity"] = interference_intensity(state, final, phi)
+                record["intensity"] = _overlap_intensity(z, phi)
             elif name == "jump":
                 assert scenario is not None
-                s_point = 2.0 * swept.delta
+                s_point = 2.0 * spec.delta
                 theta, geometric = two_level_fringe(scenario, s_point)
                 record["two_level_theta"] = theta
                 record["two_level_geometric"] = geometric
@@ -497,11 +543,11 @@ def _cmd_eigen(config: dict, fmt: str) -> dict:
         "command": "eigen",
         "plates": [{"delta": spec.delta, "chi": spec.chi} for spec in plates],
         "systems": [
-            {"plate_index": i, **_eigen_entry(q_matrix(spec))} for i, spec in enumerate(plates)
+            {"plate_index": i, **_eigen_entry(plate_eigen(spec))} for i, spec in enumerate(plates)
         ],
     }
     if len(plates) > 1:
-        payload["composite"] = _eigen_entry(compose([q_matrix(spec) for spec in plates]))
+        payload["composite"] = _eigen_entry(eigen(compose([q_matrix(spec) for spec in plates])))
     return payload
 
 
@@ -672,8 +718,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    # parsing leaves no state on the parser, so one per process serves every call
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         config = _load_config(args.config)
         payload = _COMMANDS[args.command](config, args.format)

@@ -241,6 +241,20 @@ def eigenvalue_arg(value: complex) -> float:
     return math.pi if a <= HALF_TURN_TOL - math.pi else a
 
 
+def _pair_order(values: np.ndarray, vectors: np.ndarray) -> list[int]:
+    """Ascending rounded ``eigenvalue_arg``; only a tie compares the rounded eigenvectors."""
+    args = [round(eigenvalue_arg(v), 12) for v in values]
+    if len(set(args)) == 3:
+        return sorted(range(3), key=args.__getitem__)
+    return sorted(range(3), key=lambda k: (args[k], _rounded_components(vectors[:, k])))
+
+
+def _eigensystem(values: np.ndarray, vectors: np.ndarray, basis: Basis) -> EigenSystem:
+    return EigenSystem(
+        tuple((complex(values[k]), StateVector(vectors[:, k], basis)) for k in _pair_order(values, vectors))
+    )
+
+
 def eigen(u: Unitary3) -> EigenSystem:
     """Eigen-decomposition of a unitary converter matrix.
 
@@ -250,7 +264,9 @@ def eigen(u: Unitary3) -> EigenSystem:
     for degenerate or nearly degenerate spectra, because Gram-Schmidt
     never leaves an eigenspace.  Raises ``NumericError`` when the input is
     not unitary within ``UNITARITY_TOL`` and ``ConvergenceError`` when the
-    factorization misses the residual or unit-modulus tolerances.
+    factorization misses the residual or unit-modulus tolerances.  A single
+    plate has a closed-form eigensystem, ``plate_eigen``; this solver is
+    for composite products and general unitaries.
     """
     m = u.matrix
     defect = float(np.max(np.abs(np.conj(m.T) @ m - np.eye(3))))
@@ -267,37 +283,61 @@ def eigen(u: Unitary3) -> EigenSystem:
     residuals = np.linalg.norm(m @ vectors - vectors * values[None, :], axis=0)
     if float(residuals.max()) > EIGEN_RESIDUAL_TOL:
         raise ConvergenceError(f"eigen residual {residuals.max()!r} above tolerance")
-
-    # Rounded arguments order the pairs; only a tie falls back to comparing
-    # the rounded eigenvectors lexicographically.
-    args = [round(eigenvalue_arg(v), 12) for v in values]
-    if len(set(args)) == 3:
-        order = sorted(range(3), key=args.__getitem__)
-    else:
-        order = sorted(range(3), key=lambda k: (args[k], _rounded_components(vectors[:, k])))
-    pairs = tuple(
-        (complex(values[k]), StateVector(vectors[:, k], u.basis)) for k in order
-    )
-    return EigenSystem(pairs)
+    return _eigensystem(values, vectors, u.basis)
 
 
-def _propagate_rows(chi: float, thickness: np.ndarray, amplitudes: np.ndarray) -> np.ndarray:
-    """Rows Q(thickness_i, chi) psi, shape (n, 3), in the eigenbasis of H(chi).
+def _plate_spectrum(spec: PlateSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues exp(2i delta), exp(-2i delta), 1 of Q and the matching columns of V(chi).
 
-    Each row is sum_k exp(i lambda_k s) (V^T psi)_k v_k, formed by
-    element-wise multiply-adds, so its rounding does not depend on how many
-    rows are computed together: a row of ``evolve`` is bit-identical to
-    ``propagate`` at the same thickness.  Rows of zero thickness are the
+    The columns carry ``eigen``'s phase convention: V is real and its first
+    two columns lead with sqrt(1/2) > 0, so only the third, (0, -s, c), can
+    need its sign flipped.
+    """
+    e = cmath.exp(2j * spec.delta)
+    vectors = _eigenbasis(spec.chi)
+    if vectors[_first_significant(vectors[:, 2]), 2] < 0.0:
+        vectors[:, 2] = -vectors[:, 2]
+    return np.array([e, e.conjugate(), 1.0]), vectors
+
+
+def plate_eigen(spec: PlateSpec) -> EigenSystem:
+    """Eigen-decomposition of one plate's Q(delta, chi), in closed form.
+
+    Q = exp(i delta H(chi)) has the eigenvalues exp(2i delta), exp(-2i delta)
+    and 1 on the columns of the eigenbasis V(chi) of H, whatever delta is,
+    so no solver runs and no rounding of Q enters: inside the doubled
+    eigenspace of a plate at delta = k pi/2 the vectors stay the columns of
+    V.  Phase convention and pair order are those of ``eigen``.
+    """
+    return _eigensystem(*_plate_spectrum(spec), Basis.PMZ)
+
+
+def _plate_eigenvalues(spec: PlateSpec) -> np.ndarray:
+    """The eigenvalues of ``plate_eigen`` in its order, without building eigenvector states."""
+    values, vectors = _plate_spectrum(spec)
+    return values[_pair_order(values, vectors)]
+
+
+def _propagate_rows(v: np.ndarray, thickness, amplitudes: np.ndarray) -> np.ndarray:
+    """Rows Q(thickness, chi) psi, in the eigenbasis V of H(chi).
+
+    ``v`` is V (``_eigenbasis``) or a stack of them with one per row;
+    thickness, amplitudes (rows of 3) and ``v`` broadcast against each
+    other.  Each row is sum_k exp(i lambda_k s) (V^T psi)_k v_k, formed by
+    element-wise multiply-adds with no matmul over the rows, so its rounding
+    does not depend on how many rows are computed together: a row of
+    ``evolve`` is bit-identical to ``propagate`` at the same thickness, and
+    a sweep point to the run of that point.  Rows of zero thickness are the
     identity analytically and return the input bit-exactly instead of the
     rounded V V^T product.
     """
-    v = _eigenbasis(chi)
-    coeffs = v.T @ amplitudes
+    thickness = np.asarray(thickness, dtype=float)
+    # (V^T psi)_k = sum_j V[j, k] psi_j
+    coeffs = v[..., 0, :] * amplitudes[..., :1] + v[..., 1, :] * amplitudes[..., 1:2] + v[..., 2, :] * amplitudes[..., 2:]
     # exp(i lambda s) for the eigenvalues lambda = (2, -2, 0) of H
-    e = np.exp(2j * thickness)[:, None]
-    rows = (e * coeffs[0]) * v[:, 0] + (e.conj() * coeffs[1]) * v[:, 1] + coeffs[2] * v[:, 2]
-    rows[thickness == 0.0] = amplitudes
-    return rows
+    e = np.exp(2j * thickness)[..., None]
+    rows = (e * coeffs[..., :1]) * v[..., 0] + (e.conj() * coeffs[..., 1:2]) * v[..., 1] + coeffs[..., 2:] * v[..., 2]
+    return np.where((thickness == 0.0)[..., None], amplitudes, rows)
 
 
 def propagate(spec: PlateSpec, state: StateVector) -> StateVector:
@@ -307,7 +347,7 @@ def propagate(spec: PlateSpec, state: StateVector) -> StateVector:
     """
     if state.basis is not Basis.PMZ:
         raise BasisMismatchError("propagate drives plate-basis amplitudes")
-    return StateVector(_propagate_rows(spec.chi, np.array([spec.delta]), state.amplitudes)[0], Basis.PMZ)
+    return StateVector(_propagate_rows(_eigenbasis(spec.chi), spec.delta, state.amplitudes), Basis.PMZ)
 
 
 def evolve(spec: PlateSpec, state: StateVector, n: int) -> Curve:
@@ -331,4 +371,4 @@ def evolve(spec: PlateSpec, state: StateVector, n: int) -> Curve:
     else:
         grid = np.linspace(0.0, 1.0, n)
         thickness = spec.delta * grid
-    return Curve(grid, _propagate_rows(spec.chi, thickness, state.amplitudes), Basis.PMZ)
+    return Curve(grid, _propagate_rows(_eigenbasis(spec.chi), thickness, state.amplitudes), Basis.PMZ)

@@ -21,10 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .converters import _generator, q_stack
+from .converters import _eigenbasis, _generator
 from .errors import DegenerateRayError, NumericError, UsageError
 from .phases import _simpson, _uniform_step
 from .state_space import (
+    MIN_PRODUCT_STEP,
     Basis,
     Curve,
     StateVector,
@@ -85,6 +86,8 @@ def geodesic_residual(curve: Curve) -> float:
     h = _uniform_step(curve.s)
     if h is None:
         raise UsageError("samples must be uniformly spaced")
+    if h < MIN_PRODUCT_STEP:
+        raise NumericError(f"step {h!r} is too small for second differences: its square underflows")
     amps = curve.amplitudes
     acc = (amps[:-2] - 2.0 * amps[1:-1] + amps[2:]) / h**2
     vel = (amps[2:] - amps[:-2]) / (2.0 * h)
@@ -239,8 +242,12 @@ def detect_phase_jump(scenario: GeodesicScenario, epsilon: float) -> float:
     return after - before
 
 
-def _geodesic_residuals(chi: float, delta_grid: np.ndarray | list[float]) -> tuple[float, float]:
-    """(fd, analytic) residuals of ``generalized_geodesic_check`` from one Q stack."""
+def _check_waves(delta_grid: np.ndarray | list[float]) -> tuple[float, np.ndarray, np.ndarray]:
+    """Step h, Im exp(2i delta) and sin(2 delta) of a validated geodesic-check grid.
+
+    None of them depends on chi, so a caller checking several orientations
+    on one grid computes them once.
+    """
     deltas = np.asarray(delta_grid, dtype=float)
     if deltas.ndim != 1 or deltas.size < 5:
         raise UsageError("the delta grid needs at least 5 points")
@@ -251,11 +258,25 @@ def _geodesic_residuals(chi: float, delta_grid: np.ndarray | list[float]) -> tup
     h = _uniform_step(deltas)
     if h is None:
         raise UsageError("samples must be uniformly spaced")
-    imag = q_stack(deltas, chi).imag
+    return h, np.exp(2j * deltas).imag, np.sin(2.0 * deltas)
+
+
+def _geodesic_residuals(chi: float, waves: tuple[float, np.ndarray, np.ndarray]) -> tuple[float, float]:
+    """(fd, analytic) residuals of ``generalized_geodesic_check`` on ``_check_waves`` of its grid.
+
+    Im Q = sin(2 delta) (P+ - P-) is non-zero only at the entries (0, 1) and
+    (0, 2) and their mirror images, which ``q_stack`` computes bit for bit
+    alike; every other entry, and its residual, is exactly 0.  So the two
+    independent entries, formed with the operations ``q_stack`` uses, give
+    the residuals of the whole matrix stack.
+    """
+    h, wave, sine = waves
+    v = _eigenbasis(chi)
+    imag = wave[:, None] * (v[0, 0] * v[1:, 0] - v[0, 1] * v[1:, 1])
     acc = (imag[:-2] - 2.0 * imag[1:-1] + imag[2:]) / h**2
     fd = float(np.max(np.abs(acc + 4.0 * imag[1:-1])))
     # Im Q = sin(2 delta) H/2, whose second derivative is -4 sin(2 delta) H/2
-    second = -4.0 * np.sin(2.0 * deltas)[:, None, None] * (0.5 * _generator(chi))
+    second = (-4.0 * sine)[:, None] * (0.5 * _generator(chi))[0, 1:]
     analytic = float(np.max(np.abs(second + 4.0 * imag)))
     return fd, analytic
 
@@ -272,7 +293,7 @@ def generalized_geodesic_check(
     order step^2); ``method="analytic"`` uses the exact second derivative
     and leaves pure rounding noise.
     """
-    fd, analytic = _geodesic_residuals(chi, delta_grid)
+    fd, analytic = _geodesic_residuals(chi, _check_waves(delta_grid))
     if method == "analytic":
         return analytic
     if method != "fd":

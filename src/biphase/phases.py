@@ -50,17 +50,12 @@ class PhaseReport:
 
 def pancharatnam(a: StateVector, b: StateVector, *, threshold: float = ORTHOGONALITY_TOL) -> float:
     """Pancharatnam phase arg<a|b> on the principal branch (-pi, pi]."""
-    z = inner(a, b)
-    if abs(z) < threshold:
-        raise IndeterminatePhaseError(
-            f"states are orthogonal within {threshold!r}; relative phase undefined"
-        )
-    return principal(cmath.phase(z))
+    return _overlap_phase(inner(a, b), threshold)
 
 
 def visibility(a: StateVector, b: StateVector) -> float:
     """Interference fringe visibility |<a|b>|, clipped into [0, 1]."""
-    return min(1.0, abs(inner(a, b)))
+    return _overlap_visibility(inner(a, b))
 
 
 def interference_intensity(a: StateVector, b: StateVector, phi: float) -> float:
@@ -69,7 +64,26 @@ def interference_intensity(a: StateVector, b: StateVector, phi: float) -> float:
     Defined for any pair; orthogonal states simply give the flat value 2.
     The maximum over phi sits at the Pancharatnam phase of (a, b).
     """
-    z = inner(a, b)
+    return _overlap_intensity(inner(a, b), phi)
+
+
+# The three readings of an overlap z = <a|b>, shared with callers that
+# compute overlaps for many pairs at once.
+
+
+def _overlap_phase(z: complex, threshold: float = ORTHOGONALITY_TOL) -> float:
+    if abs(z) < threshold:
+        raise IndeterminatePhaseError(
+            f"states are orthogonal within {threshold!r}; relative phase undefined"
+        )
+    return principal(cmath.phase(z))
+
+
+def _overlap_visibility(z: complex) -> float:
+    return min(1.0, abs(z))
+
+
+def _overlap_intensity(z: complex, phi: float) -> float:
     return 2.0 + 2.0 * abs(z) * math.cos(phi - cmath.phase(z))
 
 
@@ -83,8 +97,17 @@ def dynamical_phase_closed_form(state: StateVector, spec: PlateSpec) -> float:
     """
     if state.basis is not Basis.PMZ:
         raise BasisMismatchError("closed form needs plate-basis amplitudes")
-    d = state.amplitudes
-    return float(spec.delta * np.vdot(d, _generator(spec.chi) @ d).real)
+    return float(spec.delta * _expectations(_generator(spec.chi), state.amplitudes))
+
+
+def _expectations(h: np.ndarray, amplitudes: np.ndarray) -> np.ndarray:
+    """<psi|H|psi> row by row for a generator H, or a stack with one per row.
+
+    One matrix-vector product and one conjugated dot product per row, the
+    same operations for any number of rows, so a sweep point's dynamical
+    phase is bit-identical to the run of that point.
+    """
+    return np.vecdot(amplitudes, np.matmul(h, amplitudes[..., None])[..., 0]).real
 
 
 def _uniform_step(x: np.ndarray) -> float | None:

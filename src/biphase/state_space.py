@@ -31,6 +31,8 @@ from .errors import BasisMismatchError, NumericError, UsageError
 
 #: Allowed deviation of |c1|^2 + |c2|^2 + |c3|^2 from one.
 NORM_TOL = 1e-12
+#: Smallest step whose square is a normal double: the square root of 2**-1022.
+MIN_PRODUCT_STEP = 2.0**-511
 
 
 class Basis(enum.Enum):
@@ -238,11 +240,21 @@ def curve_velocity(curve: Curve) -> np.ndarray:
 
     Central differences at interior samples and second-order one-sided
     stencils at the ends, so the result is O(step^2) accurate on smooth
-    curves.  Needs at least 3 samples.
+    curves.  Needs at least 3 samples.  The stencil weights divide by
+    products of two steps, which underflow for steps below
+    ``MIN_PRODUCT_STEP``; such a grid is differentiated against the unit
+    interval (s - s_0) / span and the result divided by the span.
     """
     if len(curve) < 3:
         raise UsageError("derivatives need at least 3 samples")
-    return np.gradient(curve.amplitudes, curve.s, axis=0, edge_order=2)
+    s = curve.s
+    if (s[1:] - s[:-1]).min() >= MIN_PRODUCT_STEP:
+        return np.gradient(curve.amplitudes, s, axis=0, edge_order=2)
+    span = s[-1] - s[0]
+    velocity = np.gradient(curve.amplitudes, (s - s[0]) / span, axis=0, edge_order=2)
+    # divide the real and imaginary parts: complex division forms 1 / span,
+    # which overflows for a subnormal span
+    return (velocity.view(float) / span).view(complex)
 
 
 def overlap_series(curve: Curve) -> np.ndarray:

@@ -389,13 +389,10 @@ def test_run_reports_closed_form_dynamical_phases(parts, plates, n):
     assert [entry["dynamical"] for entry in phases["segments"]] == segments
     assert phases["total"]["dynamical"] == total
     # the quadrature estimate on n samples stays a cross-check: its error
-    # grows as |delta|^3 / n^2.  Plates thinner than 1e-100 are left out:
-    # np.gradient underflows on their steps (the strict xfail
-    # test_dynamical_phase_numeric_resolves_a_tiny_step records it)
+    # grows as |delta|^3 / n^2
     for spec, start, closed in zip(plates, states, segments):
-        if spec.delta == 0.0 or abs(spec.delta) >= 1e-100:
-            numeric = dynamical_phase_numeric(evolve(spec, start, n))
-            assert abs(numeric - closed) <= 2.0 * abs(spec.delta) ** 3 / n**2 + 1e-12
+        numeric = dynamical_phase_numeric(evolve(spec, start, n))
+        assert abs(numeric - closed) <= 2.0 * abs(spec.delta) ** 3 / n**2 + 1e-12
 
 
 def test_outputs_render_identically_in_json_and_csv(capsys, tmp_path):
@@ -571,6 +568,20 @@ def test_geodesic_rejects_a_shared_ray(capsys, tmp_path):
     assert err.startswith("error:")
 
 
+def test_geodesic_of_a_plate_too_thin_to_difference_is_a_typed_error(capsys, tmp_path):
+    # its 401 samples are 2.5e-303 apart, and the square of that step underflows
+    config = {
+        "input_state": state_payload(0.6, 0.48 + 0.3j, -0.2 + 0.52j),
+        "plates": [{"delta": 1e-300, "chi": 0.2}],
+        "samples": 401,
+    }
+    path = write_config(tmp_path, config)
+    code, out, err = invoke(capsys, "geodesic", "--config", path)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:") and "underflows" in err
+
+
 def test_degrees_toggle_matches_radians(capsys, tmp_path):
     radians = {
         "input_state": state_payload(S, 0.5, 0.5),
@@ -670,23 +681,60 @@ def test_eigen_command_reports_a_half_turn_as_plus_pi(capsys, tmp_path):
     assert payload["systems"][0]["eigenvalue_args"] == pytest.approx([0.0, PI, PI], abs=1e-12)
 
 
-def test_importing_the_cli_loads_no_scipy():
-    # the runtime is numpy-only; scipy would take most of a cold call's start-up
+def fresh_process(*args):
+    """Exit status, stdout and stderr of a new interpreter running ``python *args``
+    with this checkout's biphase on the path."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(biphase.__file__)))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    result = subprocess.run(
+        [sys.executable, *args],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    return result.returncode, result.stdout, result.stderr
+
+
+def test_repeated_main_calls_match_fresh_processes(tmp_path):
+    # main builds its argument parser once per process; no call may leave
+    # state behind that a later one sees
+    run = write_config(tmp_path, {"input_state": state_payload(S, 0.5, 0.5), "plates": [{"delta": 0.8, "chi": 0.25}]}, "run.json")
+    sweep = write_config(tmp_path, {**TWO_SAMPLE_SWEEP, "outputs": ["phases", "eigen"]}, "sweep.json")
+    eigen = write_config(tmp_path, {"plates": [{"delta": 0.6, "chi": 0.3}, {"delta": PI / 2.0, "chi": 1.1}]}, "eigen.json")
+    bad = write_config(tmp_path, {"input_state": state_payload(1, 0, 0), "mystery": 1}, "bad.json")
+    target = tmp_path / "out.csv"
+    calls = [
+        ["run", "--config", run],
+        ["sweep", "--config", sweep, "--format", "csv"],
+        ["run", "--config", bad],
+        ["eigen", "--config", eigen, "--format", "csv", "--out", str(target), "--quiet"],
+        ["sweep"],
+        ["run", "--config", run, "--out", str(target)],
+        ["run", "--config", run],
+    ]
+    for argv in calls:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse refuses the usage
+                code = exc.code
+        written = target.read_bytes() if "--out" in argv else None
+        assert (code, out.getvalue(), err.getvalue()) == fresh_process("-m", "biphase.cli", *argv), argv
+        if written is not None:
+            assert target.read_bytes() == written
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # the runtime is numpy-only; scipy would take most of a cold call's start-up
     code = (
         "import sys, biphase.cli; "
         "print(biphase.__file__); "
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
-    result = subprocess.run(
-        [sys.executable, "-c", code],
-        env={**os.environ, "PYTHONPATH": path},
-        capture_output=True,
-        text=True,
-        timeout=120,
-        check=True,
-    )
-    loaded_from, modules = result.stdout.splitlines()
+    status, stdout, stderr = fresh_process("-c", code)
+    assert status == 0, stderr
+    loaded_from, modules = stdout.splitlines()
     assert os.path.samefile(loaded_from, biphase.__file__)
     assert modules == "[]"

@@ -22,11 +22,13 @@ from biphase import (
     evolve,
     g_matrix,
     plate_coefficients,
+    plate_eigen,
     principal,
     propagate,
     q_matrix,
     q_stack,
 )
+from biphase import converters
 from biphase.converters import _g_entries, eigenvalue_arg
 from conftest import random_state
 
@@ -412,6 +414,61 @@ def test_half_wave_double_eigenvalue_is_reported_at_plus_pi():
             system = eigen(q_matrix(PlateSpec(k * math.pi / 2.0, float(chi))))
             args = [eigenvalue_arg(v) for v in system.values]
             assert args == pytest.approx([0.0, math.pi, math.pi], abs=1e-12)
+
+
+# single plates: thin and very thick, quarter waves delta = k pi/4 and the
+# degenerate delta = k pi/2
+plate_thicknesses = st.one_of(
+    thicknesses, st.integers(min_value=-1_200_000_000, max_value=1_200_000_000).map(lambda k: k * math.pi / 4.0)
+)
+
+
+def eigenspace_projector(system, center: complex) -> np.ndarray:
+    """Projector on the eigenvectors whose eigenvalues lie within 1e-2 of ``center``.
+
+    The eigenvalues outside stay at least 5e-3 away from those inside (the
+    spectrum is {e^{2i delta}, e^{-2i delta}, 1}), so rounding moves this
+    projector by about 1e-16 / 5e-3, however close the eigenvalues inside
+    are to each other.
+    """
+    vectors = [state.amplitudes for value, state in system.pairs if abs(value - center) <= 1e-2]
+    return sum(np.outer(v, np.conj(v)) for v in vectors)
+
+
+@given(plate_thicknesses, orientations)
+def test_plate_eigen_is_the_closed_form_of_eigen(delta, chi):
+    spec = PlateSpec(delta, chi)
+    system = plate_eigen(spec)
+    q = q_matrix(spec).matrix
+    vectors = np.stack([state.amplitudes for state in system.states], axis=1)
+    assert np.max(np.linalg.norm(q @ vectors - vectors * system.values, axis=0)) <= 1e-12
+    assert np.max(np.abs(np.conj(vectors.T) @ vectors - np.eye(3))) <= 1e-12
+    solved = eigen(q_matrix(spec))
+    assert np.max(np.abs(system.values - solved.values)) <= 1e-12
+    for value in system.values:
+        assert np.max(np.abs(eigenspace_projector(system, value) - eigenspace_projector(solved, value))) <= 1e-12
+    keys = [full_sort_key(value, state.amplitudes) for value, state in system.pairs]
+    assert keys == sorted(keys)
+    for state in system.states:  # eigen's phase convention
+        lead = next(c for c in state.amplitudes if abs(c) > 1e-12)
+        assert lead.imag == 0.0 and lead.real > 0.0
+
+
+@given(st.integers(min_value=-400, max_value=400), orientations)
+def test_plate_eigen_ignores_the_rounding_of_q_at_degenerate_thicknesses(k, chi):
+    # at delta = k pi/2 an eigenvalue is doubled (tripled for even k), so a
+    # solver's basis inside it follows the last bits of Q; the closed form
+    # never reads Q
+    spec = PlateSpec(k * math.pi / 2.0, chi)
+    exact = plate_eigen(spec)
+    rng = np.random.default_rng(7)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(converters, "q_stack", lambda deltas, chi: q_stack(deltas, chi) * (1.0 + 4e-16 * rng.standard_normal((1, 3, 3))))
+        noisy = plate_eigen(spec)
+        assert not np.array_equal(q_matrix(spec).matrix, q_stack([spec.delta], chi)[0])
+    assert np.array_equal(noisy.values, exact.values)
+    for a, b in zip(noisy.states, exact.states):
+        assert np.array_equal(a.amplitudes, b.amplitudes)
 
 
 def test_eigenvalue_arg_folds_only_the_lower_half_turn():

@@ -2,18 +2,22 @@
 
 The cases cover every subcommand, every output kind of ``run`` and
 ``sweep``, JSON and CSV, degree input, emitted curves, an indeterminate
-sweep point and half-turn eigenvalue arguments.  A change meant to keep every
-number must pass unchanged.  A change that alters output on purpose
-regenerates the expected files with ``PYTHONPATH=src python
-tests/test_golden.py`` and accounts for every difference.
+sweep point, half-turn eigenvalue arguments and a half-wave plate's
+eigenvectors.  A change meant to keep every number must pass unchanged.  A
+change that alters output on purpose regenerates the expected files with
+``PYTHONPATH=src python tests/test_golden.py`` and accounts for every
+difference.
 
-Every reported eigenvector belongs to a simple eigenvalue, so rounding-level
-changes in the plate matrices move the output at rounding level only.  A
-doubled eigenvalue (a plate at delta = k pi/2) leaves its eigenvectors free to
-rotate inside the eigenspace with the last bits of the matrix; the half-turn
-case therefore reports eigenvalue arguments alone, through ``sweep``.  The
-bytes are those of one numpy and LAPACK build: components whose exact value
-is 0 print as rounding noise (down to about 1e-33), which another build may
+A single plate's eigensystem is closed form (``plate_eigen``), so the
+half-wave plate, whose -1 eigenvalue is doubled, prints its eigenvectors:
+they are the columns of V(chi) and never see the plate matrix.  Every
+eigenvector of a composite product comes from the eig + QR solver and
+belongs to a simple eigenvalue, so rounding-level changes in the plate
+matrices move the output at rounding level only; a doubled eigenvalue of a
+product would leave its eigenvectors free to rotate inside the eigenspace
+with the last bits of the matrix.  The bytes are those of one numpy and
+LAPACK build: components of composite eigenvectors whose exact value is 0
+print as rounding noise (down to about 1e-33), which another build may
 round differently.
 """
 
@@ -42,6 +46,7 @@ CASES = [
     ("sweep-half-turn-eigen", "sweep", "csv"),
     ("eigen-composite", "eigen", "json"),
     ("eigen-quarter-wave-degrees", "eigen", "csv"),
+    ("eigen-half-wave", "eigen", "json"),
     ("geodesic-pair", "geodesic", "json"),
     ("geodesic-segments", "geodesic", "csv"),
     ("vertex-triangle", "vertex", "csv"),
