@@ -23,13 +23,13 @@ import numpy as np
 
 from .converters import _eigenbasis, _generator
 from .errors import DegenerateRayError, NumericError, UsageError
-from .phases import _simpson, _uniform_step
+from .phases import _simpson
 from .state_space import (
     MIN_PRODUCT_STEP,
     Basis,
     Curve,
     StateVector,
-    curve_velocity,
+    _uniform_step,
     gauge_transform,
     inner,
     ray_distance,
@@ -83,7 +83,7 @@ def geodesic_residual(curve: Curve) -> float:
     """
     if len(curve) < 5:
         raise UsageError("the residual check needs at least 5 samples")
-    h = _uniform_step(curve.s)
+    h = curve._step
     if h is None:
         raise UsageError("samples must be uniformly spaced")
     if h < MIN_PRODUCT_STEP:
@@ -96,11 +96,26 @@ def geodesic_residual(curve: Curve) -> float:
     return float(np.max(np.linalg.norm(residual, axis=1)))
 
 
+def _squarable_derivatives(curve: Curve) -> tuple[np.ndarray, np.ndarray]:
+    """The curve's shared velocity and vertical series, for functionals that square them.
+
+    A finite difference carries rounding noise of about eps |psi| / step.
+    Below ``MIN_PRODUCT_STEP`` that noise swamps the velocity, and its
+    square can overflow, so such a grid is refused.  The phase functionals
+    read only Im<psi|dpsi/ds>, which stays resolved there.
+    """
+    velocity = curve._velocity
+    if curve._min_step < MIN_PRODUCT_STEP:
+        raise NumericError(
+            f"step {curve._min_step!r} is too small for squared derivatives: "
+            "its rounding noise, about eps / step, swamps them"
+        )
+    return velocity, curve._vertical
+
+
 def horizontality_residual(curve: Curve) -> float:
     """Max |<psi|dpsi/ds>| over the curve, via finite differences."""
-    vel = curve_velocity(curve)
-    vals = np.einsum("ij,ij->i", np.conj(curve.amplitudes), vel)
-    return float(np.max(np.abs(vals)))
+    return float(np.max(np.abs(_squarable_derivatives(curve)[1])))
 
 
 def parallel_lift(curve: Curve) -> Curve:
@@ -114,8 +129,7 @@ def parallel_lift(curve: Curve) -> Curve:
     """
     if len(curve) < 3:
         raise UsageError("the lift needs at least 3 samples")
-    vel = curve_velocity(curve)
-    rate = -np.einsum("ij,ij->i", np.conj(curve.amplitudes), vel).imag
+    rate = -curve._vertical.imag
     alpha = np.concatenate(([0.0], np.cumsum(np.diff(curve.s) * (rate[1:] + rate[:-1]) / 2.0)))
     return gauge_transform(curve, alpha)
 
@@ -128,13 +142,12 @@ def curve_length(curve: Curve) -> float:
     """
     if len(curve) < 3:
         raise UsageError("length quadrature needs at least 3 samples")
-    vel = curve_velocity(curve)
+    vel, vertical = _squarable_derivatives(curve)
     speed_sq = np.einsum("ij,ij->i", np.conj(vel), vel).real
-    vertical = np.einsum("ij,ij->i", np.conj(curve.amplitudes), vel)
     radicand = speed_sq - np.abs(vertical) ** 2
     if float(np.min(radicand)) < -1e-12:
         raise NumericError("length integrand went negative beyond rounding tolerance")
-    return _simpson(np.sqrt(np.clip(radicand, 0.0, None)), curve.s)
+    return _simpson(np.sqrt(np.clip(radicand, 0.0, None)), curve.s, curve._step is not None)
 
 
 @dataclass(frozen=True)

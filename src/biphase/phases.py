@@ -21,7 +21,7 @@ import numpy as np
 from .angles import principal
 from .converters import PlateSpec, _generator, q_matrix
 from .errors import BasisMismatchError, IndeterminatePhaseError, UsageError
-from .state_space import Basis, Curve, StateVector, curve_velocity, inner
+from .state_space import Basis, Curve, StateVector, inner, overlap_series
 
 #: Overlap magnitude below which a relative phase is indeterminate.
 ORTHOGONALITY_TOL = 1e-9
@@ -110,27 +110,19 @@ def _expectations(h: np.ndarray, amplitudes: np.ndarray) -> np.ndarray:
     return np.vecdot(amplitudes, np.matmul(h, amplitudes[..., None])[..., 0]).real
 
 
-def _uniform_step(x: np.ndarray) -> float | None:
-    """The common step of a sample grid, or None when the grid is not uniform."""
-    steps = np.diff(x)
-    h = float(steps[0])
-    if not np.allclose(steps, h, rtol=1e-9, atol=1e-12 * max(1.0, abs(float(x[-1] - x[0])))):
-        return None
-    return h
-
-
-def _simpson(y: np.ndarray, x: np.ndarray) -> float:
+def _simpson(y: np.ndarray, x: np.ndarray, uniform: bool) -> float:
     """Composite Simpson on a uniform grid with an even interval count.
 
     Falls back to the trapezoid rule otherwise, which keeps the quadrature
     at or above the O(step^2) accuracy of the finite-difference integrands
-    it is fed.
+    it is fed.  ``uniform`` says whether ``x`` is uniform, as the curve's
+    shared step knows.
     """
     y = np.asarray(y, dtype=float)
     x = np.asarray(x, dtype=float)
     span = float(x[-1] - x[0])
     intervals = x.size - 1
-    if _uniform_step(x) is not None and intervals >= 2 and intervals % 2 == 0:
+    if uniform and intervals >= 2 and intervals % 2 == 0:
         h = span / intervals
         return float(h / 3.0 * (y[0] + y[-1] + 4.0 * np.sum(y[1:-1:2]) + 2.0 * np.sum(y[2:-2:2])))
     return float(np.trapezoid(y, x))
@@ -144,9 +136,7 @@ def dynamical_phase_numeric(curve: Curve) -> float:
     """
     if len(curve) < 3:
         raise UsageError("quadrature needs at least 3 samples")
-    vel = curve_velocity(curve)
-    integrand = np.einsum("ij,ij->i", np.conj(curve.amplitudes), vel).imag
-    return _simpson(integrand, curve.s)
+    return _simpson(curve._vertical.imag, curve.s, curve._step is not None)
 
 
 def geometric_phase(curve: Curve, *, threshold: float = ORTHOGONALITY_TOL) -> PhaseReport:
@@ -227,7 +217,7 @@ def bargmann_limit(curve: Curve, *, threshold: float = ORTHOGONALITY_TOL) -> flo
     if len(curve) < 3:
         raise UsageError("the sampled vertex product needs at least 3 samples")
     amps = curve.amplitudes
-    consecutive = np.einsum("ij,ij->i", np.conj(amps[:-1]), amps[1:])
+    consecutive = overlap_series(curve)
     closing = complex(np.vdot(amps[-1], amps[0]))
     if abs(closing) < threshold or float(np.min(np.abs(consecutive))) < threshold:
         raise IndeterminatePhaseError("an overlap in the sampled polygon is orthogonal")

@@ -21,6 +21,7 @@ with PMZ amplitudes d = A c and Fock amplitudes c = A^T d.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence, Union
@@ -163,6 +164,10 @@ class Curve:
         Complex amplitudes, shape (n, 3), one unit-norm row per sample.
     basis:
         Common basis tag of every sample.
+
+    The derivative data that the finite-difference functionals share (the
+    velocity, the vertical series <psi_i|dpsi_i/ds> and the uniform step)
+    is computed on first use, once per instance, and kept read-only.
     """
 
     s: np.ndarray
@@ -202,6 +207,26 @@ class Curve:
         for i in range(len(self)):
             yield float(self.s[i]), self.state(i)
 
+    @functools.cached_property
+    def _min_step(self) -> float:
+        return float((self.s[1:] - self.s[:-1]).min())
+
+    @functools.cached_property
+    def _step(self) -> float | None:
+        return _uniform_step(self.s)
+
+    @functools.cached_property
+    def _velocity(self) -> np.ndarray:
+        velocity = curve_velocity(self)
+        velocity.flags.writeable = False
+        return velocity
+
+    @functools.cached_property
+    def _vertical(self) -> np.ndarray:
+        vertical = np.einsum("ij,ij->i", np.conj(self.amplitudes), self._velocity)
+        vertical.flags.writeable = False
+        return vertical
+
     @classmethod
     def from_states(cls, s_values: Sequence[float], states: Sequence[StateVector]) -> "Curve":
         if len(states) != len(s_values):
@@ -235,6 +260,24 @@ def gauge_transform(curve: Curve, alpha: Union[Callable[[float], float], Sequenc
     return Curve(curve.s, phased, curve.basis)
 
 
+def _uniform_step(x: np.ndarray) -> float | None:
+    """The common step of a sample grid, or None when the grid is not uniform.
+
+    A step counts as equal to the first, h, when it is within
+    1e-12 max(1, span) + 1e-9 |h| of it: ``np.allclose``'s test, formed as
+    one maximum.  A span that overflows is refused; there the tolerance
+    itself would be infinite.
+    """
+    span = float(x[-1]) - float(x[0])
+    if not math.isfinite(span):
+        raise NumericError(f"grid span {span!r} overflows")
+    steps = x[1:] - x[:-1]
+    h = float(steps[0])
+    if float(np.max(np.abs(steps - h))) > 1e-12 * max(1.0, abs(span)) + 1e-9 * abs(h):
+        return None
+    return h
+
+
 def curve_velocity(curve: Curve) -> np.ndarray:
     """Finite-difference velocity d(amplitudes)/ds, shape (n, 3).
 
@@ -248,7 +291,7 @@ def curve_velocity(curve: Curve) -> np.ndarray:
     if len(curve) < 3:
         raise UsageError("derivatives need at least 3 samples")
     s = curve.s
-    if (s[1:] - s[:-1]).min() >= MIN_PRODUCT_STEP:
+    if curve._min_step >= MIN_PRODUCT_STEP:
         return np.gradient(curve.amplitudes, s, axis=0, edge_order=2)
     span = s[-1] - s[0]
     velocity = np.gradient(curve.amplitudes, (s - s[0]) / span, axis=0, edge_order=2)
