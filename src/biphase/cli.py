@@ -12,8 +12,9 @@ delta <psi|H|psi>, with no sampled curve in between.  Both go through one
 evaluator that propagates all grid points of a sweep together; a run is a
 sweep of one point.  ``samples`` therefore sets only the curves
 ``emit_curve`` adds, the delta grid of the geodesic check and the curves of
-the ``geodesic`` subcommand.  Single-plate eigensystems are closed form
-(``plate_eigen``); only the composite of ``eigen`` runs the eig + QR solver.
+the ``geodesic`` subcommand.  Eigensystems are closed form: a single plate
+from its parameters (``plate_eigen``), the composite of ``eigen`` from the
+SU(2) product of the plates' Jones matrices (``eigen`` of ``compose``).
 
 All input is one JSON config document; complex numbers travel as
 [re, im] pairs and angles are radians unless the config sets

@@ -19,16 +19,31 @@ The same plate has single-photon amplitude transmission and reflection
     r = i sin(delta) sin(2 chi),
 
 with |t|^2 + |r|^2 = 1.  On the two-photon triple it acts in the Fock
-basis through the symmetric-square matrix G(t, r), and the conjugation
+basis through the symmetric-square matrix G(t, r) = Sym^2(J) of the SU(2)
+Jones matrix J = [[t, r], [-conj(r), conj(t)]], and the conjugation
 A G A^T by the fixed basis change reproduces Q; that independent
 construction is kept as the oracle the spectral form is tested against.
+
+Sym^2 is a group homomorphism, so a plate chain is A Sym^2(J_k ... J_1) A^T.
+``q_matrix`` therefore returns a converter that carries its pair (t, r)
+and builds its 3x3 matrix only on first access; ``compose`` multiplies the
+2x2 pairs of such converters, renormalising after each product, so a long
+chain stays unitary to rounding; and ``eigen`` solves the product in closed
+form from the two eigenvectors u+, u- of J: the eigenvalues l+^2, 1, l-^2
+of A Sym^2(J) A^T sit on A Sym^2(u+), on A (u+ v u-) and on A Sym^2(u-).
+A half-turn composite thus gets the canonical basis {Sym^2(u+), Sym^2(u-)}
+of its doubled -1 eigenspace.  J = +-I is the one fully degenerate case;
+its composite is the identity, reported on the identity columns.  Matrices
+built from explicit entries carry no pair and keep the 3x3 product and the
+eig + QR solver.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import FrozenInstanceError, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -40,7 +55,7 @@ from .errors import (
     NumericError,
     UsageError,
 )
-from .state_space import Basis, Curve, StateVector
+from .state_space import BASIS_CHANGE, Basis, Curve, StateVector
 
 #: Allowed deviation of |t|^2 + |r|^2 from one on g_matrix input.
 COEFFICIENT_TOL = 1e-9
@@ -77,19 +92,47 @@ class TransmissionPair:
         return abs(abs(self.t) ** 2 + abs(self.r) ** 2 - 1.0)
 
 
-@dataclass(frozen=True, eq=False)
 class Unitary3:
-    """3x3 complex matrix tagged with the basis it acts on."""
+    """3x3 complex matrix tagged with the basis it acts on.
 
-    matrix: np.ndarray
-    basis: Basis
+    Instances are immutable and ``matrix`` is read-only.  A plate from
+    ``q_matrix``, or a product of such plates from ``compose``, also carries
+    the SU(2) pair (a, b) of its Jones matrix J = [[a, b], [-conj(b), conj(a)]]
+    and builds ``matrix`` from it on first access.  A converter built from a
+    matrix never carries a pair.
+    """
 
-    def __post_init__(self) -> None:
-        m = np.array(self.matrix, dtype=complex)
+    __slots__ = ("basis", "_matrix", "_pair", "_build")
+
+    def __init__(self, matrix, basis: Basis) -> None:
+        m = np.array(matrix, dtype=complex)
         if m.shape != (3, 3):
             raise UsageError("converter matrices are 3x3")
         m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
+        for name, value in (("basis", basis), ("_matrix", m), ("_pair", None), ("_build", None)):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _su2(cls, a: complex, b: complex, build) -> "Unitary3":
+        """A plate-basis converter carrying the pair (a, b); ``build()`` returns its matrix."""
+        u = object.__new__(cls)
+        for name, value in (("basis", Basis.PMZ), ("_matrix", None), ("_pair", (a, b)), ("_build", build)):
+            object.__setattr__(u, name, value)
+        return u
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    @property
+    def matrix(self) -> np.ndarray:
+        if self._matrix is None:
+            m = self._build()
+            m.flags.writeable = False
+            object.__setattr__(self, "_matrix", m)
+        return self._matrix
 
     def apply(self, state: StateVector) -> StateVector:
         """Act on a state carrying the matching basis tag."""
@@ -198,23 +241,40 @@ def q_stack(deltas, chi: float) -> np.ndarray:
 
 
 def q_matrix(spec: PlateSpec) -> Unitary3:
-    """Converter matrix on plate-basis amplitudes, Q = exp(i delta H(chi))."""
-    return Unitary3(q_stack(np.array([spec.delta]), spec.chi)[0], Basis.PMZ)
+    """Converter matrix on plate-basis amplitudes, Q = exp(i delta H(chi)).
+
+    It carries the plate's pair (t, r); the matrix is built by ``q_stack``
+    on first access.
+    """
+    pair = plate_coefficients(spec)
+    return Unitary3._su2(pair.t, pair.r, lambda: q_stack(np.array([spec.delta]), spec.chi)[0])
 
 
 def compose(matrices: Sequence[Unitary3]) -> Unitary3:
     """Product of converter matrices in physical traversal order.
 
     ``compose([q1, q2, q3])`` returns q3 @ q2 @ q1: the first listed plate
-    acts first.  All factors must share one basis tag.
+    acts first.  All factors must share one basis tag.  When every factor
+    carries an SU(2) pair, the pairs are multiplied instead, with the
+    product renormalised to |a|^2 + |b|^2 = 1 after each factor, and the
+    result carries the product pair; otherwise the 3x3 matrices are
+    multiplied.
     """
     if not matrices:
         raise UsageError("compose needs at least one matrix")
     basis = matrices[0].basis
+    if any(u.basis is not basis for u in matrices):
+        raise BasisMismatchError("compose requires a common basis")
+    if all(u._pair is not None for u in matrices):
+        a, b = 1.0 + 0.0j, 0.0j
+        for u in matrices:
+            a2, b2 = u._pair
+            a, b = a2 * a - b2 * b.conjugate(), a2 * b + b2 * a.conjugate()
+            norm = math.hypot(a.real, a.imag, b.real, b.imag)
+            a, b = a / norm, b / norm
+        return Unitary3._su2(a, b, lambda: BASIS_CHANGE.matrix @ _g_entries(a, b) @ BASIS_CHANGE.inverse)
     total = np.eye(3, dtype=complex)
     for u in matrices:
-        if u.basis is not basis:
-            raise BasisMismatchError("compose requires a common basis")
         total = u.matrix @ total
     return Unitary3(total, basis)
 
@@ -255,19 +315,76 @@ def _eigensystem(values: np.ndarray, vectors: np.ndarray, basis: Basis) -> Eigen
     )
 
 
+def _fix_phases(vectors: np.ndarray) -> None:
+    """Make the first significant component of each column real and positive, in place."""
+    for k in range(3):
+        col = vectors[:, k]
+        lead = col[_first_significant(col)]
+        vectors[:, k] = col * (np.conj(lead) / abs(lead))
+
+
+def _spin1_eigen(a: complex, b: complex) -> EigenSystem:
+    """Closed-form eigensystem of A Sym^2(J) A^T for J = [[a, b], [-conj(b), conj(a)]].
+
+    J has the eigenvalues l+- = Re a +- i sin(theta), sin(theta) = |(Im a, b)|,
+    on orthonormal u+ and u- = (-conj(u+_2), conj(u+_1)), the image of u+
+    under the antiunitary map that commutes with every SU(2) matrix.  The
+    spin-1 pairs are l+^2 on Sym^2(u+), 1 on the symmetrised u+ v u- and
+    l-^2 on Sym^2(u-), taken to the plate basis by A.  A 2x2 residual r of
+    unit vectors bounds their residuals by 2r + r^2.
+    """
+    defect = abs(a.real * a.real + a.imag * a.imag + b.real * b.real + b.imag * b.imag - 1.0)
+    if defect > UNITARITY_TOL:
+        raise NumericError(f"SU(2) pair is not unit norm: ||a|^2 + |b|^2 - 1| = {defect!r}")
+    y, c = a.imag, b
+    sin = math.hypot(y, abs(c))
+    if sin == 0.0:
+        # J = +-I, so the composite is the identity
+        return _eigensystem(np.ones(3, dtype=complex), np.eye(3, dtype=complex), Basis.PMZ)
+    plus = complex(a.real, sin)
+    if sin < sys.float_info.min:
+        # u+ depends only on the direction of (y, b); a subnormal one is lifted
+        # by an exact power of two, because norms there keep too few digits
+        y, c = y * 2.0**600, c * 2.0**600
+        sin = math.hypot(y, abs(c))
+    # u+ solves the row of J - l+ whose diagonal entry, i (y -+ sin), does not cancel
+    p, q = (complex(y + sin), 1j * c.conjugate()) if y >= 0.0 else (c, complex(0.0, sin - y))
+    norm = math.hypot(abs(p), abs(q))
+    p, q = p / norm, q / norm
+    r = math.hypot(abs(a * p + b * q - plus * p), abs(a.conjugate() * q - b.conjugate() * p - plus * q))
+    if 2.0 * r + r * r > EIGEN_RESIDUAL_TOL:
+        raise ConvergenceError(f"SU(2) eigen residual {r!r} above tolerance")
+    v1, v2 = -q.conjugate(), p.conjugate()
+    s2 = math.sqrt(2.0)
+    fock = np.array([
+        [p * p, s2 * p * v1, v1 * v1],
+        [s2 * p * q, p * v2 + q * v1, s2 * v1 * v2],
+        [q * q, s2 * q * v2, v2 * v2],
+    ])
+    vectors = BASIS_CHANGE.matrix @ fock
+    _fix_phases(vectors)
+    square = plus * plus
+    return _eigensystem(np.array([square, 1.0, square.conjugate()]), vectors, Basis.PMZ)
+
+
 def eigen(u: Unitary3) -> EigenSystem:
     """Eigen-decomposition of a unitary converter matrix.
 
-    Eigenvalues come from ``np.linalg.eig``; the eigenvectors are the
+    A plate or plate chain that carries its SU(2) pair is solved in closed
+    form (``_spin1_eigen``): the unitarity check there is the pair's norm
+    defect against ``UNITARITY_TOL``, and the residual bound 2r + r^2 of its
+    2x2 residual r is held to ``EIGEN_RESIDUAL_TOL``.  Any other matrix goes
+    to ``np.linalg.eig`` for the eigenvalues; the eigenvectors are the
     columns of the QR factor of its eigenvector matrix.  For a normal
     matrix those columns are orthonormal eigenvectors (Schur vectors), also
     for degenerate or nearly degenerate spectra, because Gram-Schmidt
     never leaves an eigenspace.  Raises ``NumericError`` when the input is
     not unitary within ``UNITARITY_TOL`` and ``ConvergenceError`` when the
-    factorization misses the residual or unit-modulus tolerances.  A single
-    plate has a closed-form eigensystem, ``plate_eigen``; this solver is
-    for composite products and general unitaries.
+    factorization misses the residual or unit-modulus tolerances.
+    ``plate_eigen`` gives one plate's eigensystem from its parameters.
     """
+    if u._pair is not None:
+        return _spin1_eigen(*u._pair)
     m = u.matrix
     defect = float(np.max(np.abs(np.conj(m.T) @ m - np.eye(3))))
     if defect > UNITARITY_TOL:
@@ -276,10 +393,7 @@ def eigen(u: Unitary3) -> EigenSystem:
     if float(np.max(np.abs(np.abs(values) - 1.0))) > UNITARITY_TOL:
         raise ConvergenceError("eigenvalues left the unit circle")
     vectors = np.linalg.qr(raw)[0]
-    for k in range(3):
-        col = vectors[:, k]
-        lead = col[_first_significant(col)]
-        vectors[:, k] = col * (np.conj(lead) / abs(lead))
+    _fix_phases(vectors)
     residuals = np.linalg.norm(m @ vectors - vectors * values[None, :], axis=0)
     if float(residuals.max()) > EIGEN_RESIDUAL_TOL:
         raise ConvergenceError(f"eigen residual {residuals.max()!r} above tolerance")

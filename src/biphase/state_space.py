@@ -185,7 +185,8 @@ class Curve:
             raise NumericError("curve samples must be finite")
         if not np.all(np.diff(s) > 0.0):
             raise UsageError("curve parameters must be strictly increasing")
-        norms = np.sum(np.abs(amps) ** 2, axis=1)
+        parts = amps.view(float).reshape(s.size, 6)
+        norms = np.einsum("ij,ij->i", parts, parts)
         worst = float(np.max(np.abs(norms - 1.0)))
         if worst > NORM_TOL:
             raise UsageError(f"curve contains a non-unit sample, |c|^2 off by {worst!r}")
@@ -217,7 +218,11 @@ class Curve:
 
     @functools.cached_property
     def _velocity(self) -> np.ndarray:
-        velocity = curve_velocity(self)
+        # a span too short for the rays' turn overflows the velocity
+        with np.errstate(over="ignore", invalid="ignore"):
+            velocity = curve_velocity(self)
+        if not np.all(np.isfinite(velocity.view(float))):
+            raise NumericError(f"velocity overflows over the span {float(self.s[-1] - self.s[0])!r}")
         velocity.flags.writeable = False
         return velocity
 

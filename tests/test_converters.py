@@ -1,9 +1,11 @@
 import cmath
+import itertools
 import math
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from biphase import (
@@ -436,6 +438,7 @@ def eigenspace_projector(system, center: complex) -> np.ndarray:
 
 
 @given(plate_thicknesses, orientations)
+@example(2.2250738585e-313, math.pi / 4.0)  # a subnormal Jones pair
 def test_plate_eigen_is_the_closed_form_of_eigen(delta, chi):
     spec = PlateSpec(delta, chi)
     system = plate_eigen(spec)
@@ -469,6 +472,135 @@ def test_plate_eigen_ignores_the_rounding_of_q_at_degenerate_thicknesses(k, chi)
     assert np.array_equal(noisy.values, exact.values)
     for a, b in zip(noisy.states, exact.states):
         assert np.array_equal(a.amplitudes, b.amplitudes)
+
+
+# -- plate chains as SU(2) products ----------------------------------------
+
+
+@st.composite
+def plate_chains(draw):
+    """1-16 plates; half the short ones become W, a half-wave plate, W^-1 (doubled -1)."""
+    plates = draw(st.lists(st.builds(PlateSpec, plate_thicknesses, orientations), min_size=1, max_size=16))
+    if len(plates) <= 7 and draw(st.booleans()):
+        half = PlateSpec(math.pi / 2.0, draw(orientations))
+        plates = plates + [half] + [PlateSpec(-spec.delta, spec.chi) for spec in reversed(plates)]
+    return plates
+
+
+def three_by_three_product(factors) -> np.ndarray:
+    total = np.eye(3, dtype=complex)
+    for u in factors:
+        total = u.matrix @ total
+    return total
+
+
+def cluster_projectors(system, solved, width: float = 1e-6):
+    """(cluster size, gap to the rest, projector of ``system``, of ``solved``) per eigenvalue cluster.
+
+    A cluster is the eigenvalues of ``system`` within ``width`` of one of
+    them; ``solved`` contributes its eigenvectors whose eigenvalues lie
+    within ``width`` of the cluster.
+    """
+    values = system.values
+    for k in range(3):
+        inside = [j for j in range(3) if abs(values[j] - values[k]) < width]
+        if inside[0] != k:
+            continue
+        gap = min((abs(values[j] - values[i]) for j in range(3) if j not in inside for i in inside), default=math.inf)
+        matched = [j for j, value in enumerate(solved.values) if min(abs(value - values[i]) for i in inside) < width]
+        yield (
+            len(inside),
+            gap,
+            sum(np.outer(system.states[j].amplitudes, np.conj(system.states[j].amplitudes)) for j in inside),
+            sum(np.outer(solved.states[j].amplitudes, np.conj(solved.states[j].amplitudes)) for j in matched),
+        )
+
+
+@given(plate_chains())
+def test_spin1_eigen_of_a_chain_matches_the_general_solver(plates):
+    factors = [q_matrix(spec) for spec in plates]
+    chain = compose(factors)
+    assert np.max(np.abs(chain.matrix - three_by_three_product(factors))) <= 1e-14
+    system = eigen(chain)
+    solved = eigen(Unitary3(chain.matrix, Basis.PMZ))  # no pair: eig + QR
+    gaps = [np.max(np.abs(system.values - solved.values[list(order)])) for order in itertools.permutations(range(3))]
+    assert min(gaps) <= 1e-12
+    vectors = np.stack([state.amplitudes for state in system.states], axis=1)
+    assert np.max(np.linalg.norm(chain.matrix @ vectors - vectors * system.values, axis=0)) <= 1e-12
+    assert np.max(np.abs(np.conj(vectors.T) @ vectors - np.eye(3))) <= 1e-12
+    for size, gap, mine, theirs in cluster_projectors(system, solved):
+        if gap >= 1e-3:
+            assert np.max(np.abs(mine - theirs)) <= (1e-12 if size == 1 else 1e-9)
+
+
+def test_half_turn_composite_reports_the_symmetric_squares_of_the_jones_eigenvectors(rng):
+    # W, a half-wave plate, W^-1: the composite's -1 is doubled, but J has the
+    # simple eigenvalues +-i, so each vector inside the doubled eigenspace is
+    # A Sym^2(u) for one eigenvector u of J
+    a = BASIS_CHANGE.matrix
+    for _ in range(50):
+        w = [random_spec(rng) for _ in range(int(rng.integers(1, 6)))]
+        plates = w + [PlateSpec(math.pi / 2.0, float(rng.uniform(-math.pi, math.pi)))]
+        plates += [PlateSpec(-spec.delta, spec.chi) for spec in reversed(w)]
+        jones = np.eye(2, dtype=complex)
+        for spec in plates:
+            pair = plate_coefficients(spec)
+            jones = np.array([[pair.t, pair.r], [-np.conj(pair.r), np.conj(pair.t)]]) @ jones
+        _, u = np.linalg.eig(jones)
+        expected = [a @ np.array([x * x, math.sqrt(2.0) * x * y, y * y]) for x, y in u.T]
+        system = eigen(compose([q_matrix(spec) for spec in plates]))
+        assert [eigenvalue_arg(v) for v in system.values] == pytest.approx([0.0, math.pi, math.pi], abs=1e-12)
+        for state in system.states[1:]:
+            v = state.amplitudes
+            assert min(np.max(np.abs(np.outer(v, np.conj(v)) - np.outer(e, np.conj(e)))) for e in expected) <= 1e-12
+
+
+def test_compose_keeps_a_long_chain_unitary(rng):
+    deltas = rng.uniform(-2.0 * math.pi, 2.0 * math.pi, 100_000)
+    chis = rng.uniform(-math.pi, math.pi, 100_000)
+    chain = compose([q_matrix(PlateSpec(float(d), float(c))) for d, c in zip(deltas, chis)])
+    m = chain.matrix
+    assert np.max(np.abs(np.conj(m.T) @ m - np.eye(3))) <= 1e-14
+    assert np.max(np.abs(np.abs(eigen(chain).values) - 1.0)) <= 1e-14
+
+
+def test_compose_of_a_plate_and_its_inverse_is_the_identity_convention():
+    # J = I exactly: every vector is an eigenvector, reported on the identity columns
+    system = eigen(compose([q_matrix(PlateSpec(0.7, 0.3)), q_matrix(PlateSpec(-0.7, 0.3))]))
+    assert np.array_equal(system.values, np.ones(3))
+    vectors = np.stack([state.amplitudes for state in system.states], axis=1)
+    assert np.array_equal(vectors, np.eye(3)[:, ::-1])
+
+
+def test_mixed_compose_takes_the_three_by_three_product():
+    q1, q2 = q_matrix(PlateSpec(0.3, 0.1)), q_matrix(PlateSpec(0.7, 0.9))
+    general = Unitary3(q_matrix(PlateSpec(1.1, -0.4)).matrix, Basis.PMZ)
+    mixed = compose([q1, general, q2])
+    assert mixed._pair is None
+    assert np.array_equal(mixed.matrix, three_by_three_product([q1, general, q2]))
+    assert compose([q1, q2])._pair is not None
+
+
+def test_plate_matrices_are_built_once_and_read_only():
+    u = q_matrix(PlateSpec(0.3, 0.1))
+    first = u.matrix
+    assert u.matrix is first
+    assert not first.flags.writeable
+    with pytest.raises(ValueError):
+        first[0, 0] = 2.0
+    with pytest.raises(FrozenInstanceError):
+        u.basis = Basis.FOCK
+    chain = compose([u, q_matrix(PlateSpec(0.7, 0.9))])
+    assert chain.matrix is chain.matrix and not chain.matrix.flags.writeable
+
+
+def test_spin1_eigen_checks_the_pair(monkeypatch):
+    with pytest.raises(NumericError):
+        eigen(Unitary3._su2(1.0 + 1e-6j, 0.1j, lambda: None))
+    unit = compose([q_matrix(PlateSpec(0.3, 0.1)), q_matrix(PlateSpec(0.7, 0.9))])
+    monkeypatch.setattr(converters, "EIGEN_RESIDUAL_TOL", -1.0)
+    with pytest.raises(ConvergenceError):
+        eigen(unit)
 
 
 def test_eigenvalue_arg_folds_only_the_lower_half_turn():

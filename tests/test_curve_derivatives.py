@@ -38,10 +38,15 @@ from conftest import random_state
 
 def ref_velocity(s, amps):
     if np.diff(s).min() >= MIN_PRODUCT_STEP:
-        return np.gradient(amps, s, axis=0, edge_order=2)
-    span = s[-1] - s[0]
-    velocity = np.gradient(amps, (s - s[0]) / span, axis=0, edge_order=2)
-    return (velocity.view(float) / span).view(complex)
+        velocity = np.gradient(amps, s, axis=0, edge_order=2)
+    else:
+        span = s[-1] - s[0]
+        velocity = np.gradient(amps, (s - s[0]) / span, axis=0, edge_order=2)
+        velocity = (velocity.view(float) / span).view(complex)
+    # a velocity that overflows is refused, not integrated
+    if not np.all(np.isfinite(velocity.view(float))):
+        raise NumericError("velocity overflows")
+    return velocity
 
 
 def ref_vertical(s, amps):
@@ -168,7 +173,7 @@ def curves(draw):
 def test_every_consumer_matches_its_own_differentiation(curve):
     s, amps = curve.s, curve.amplitudes
     with warnings.catch_warnings():
-        # subnormal spans overflow the velocity on both sides alike
+        # on subnormal spans the reference warns before it refuses the velocity
         warnings.simplefilter("ignore", RuntimeWarning)
         for function, reference in CONSUMERS:
             assert same(outcome(function, curve), outcome(reference, s, amps)), function
@@ -228,6 +233,19 @@ def test_squared_derivatives_of_a_too_thin_plate_are_a_typed_error(rng):
         # the phase functionals read only Im<psi|dpsi/ds>, still resolved
         assert math.isfinite(dynamical_phase_numeric(curve))
         assert np.all(np.isfinite(parallel_lift(curve).amplitudes))
+
+
+@pytest.mark.parametrize("function", [dynamical_phase_numeric, geometric_phase, parallel_lift])
+def test_a_velocity_that_overflows_is_a_typed_error(function):
+    # rays that turn by 2 rad over a subnormal span of 1e-308 move at about
+    # 2e308, past the largest double
+    s = np.linspace(0.0, 1e-308, 11)
+    turn = np.linspace(0.0, 2.0, 11)
+    amps = np.stack([np.cos(turn), np.sin(turn), np.zeros(11)], axis=1) * np.exp(1j * turn)[:, None]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NumericError, match="velocity overflows"):
+            function(Curve(s, amps, Basis.PMZ))
 
 
 # -- the uniform-step test against np.allclose -----------------------------

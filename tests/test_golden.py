@@ -2,23 +2,25 @@
 
 The cases cover every subcommand, every output kind of ``run`` and
 ``sweep``, JSON and CSV, degree input, emitted curves, an indeterminate
-sweep point, half-turn eigenvalue arguments and a half-wave plate's
-eigenvectors.  A change meant to keep every number must pass unchanged.  A
-change that alters output on purpose regenerates the expected files with
-``PYTHONPATH=src python tests/test_golden.py`` and accounts for every
-difference.
+sweep point, half-turn eigenvalue arguments and the eigenvectors of a
+half-wave plate and of a half-turn composite.  A change meant to keep
+every number must pass unchanged.  A change that alters output on purpose
+regenerates the expected files with ``PYTHONPATH=src python
+tests/test_golden.py`` and accounts for every difference.
 
 A single plate's eigensystem is closed form (``plate_eigen``), so the
 half-wave plate, whose -1 eigenvalue is doubled, prints its eigenvectors:
-they are the columns of V(chi) and never see the plate matrix.  Every
-eigenvector of a composite product comes from the eig + QR solver and
-belongs to a simple eigenvalue, so rounding-level changes in the plate
-matrices move the output at rounding level only; a doubled eigenvalue of a
-product would leave its eigenvectors free to rotate inside the eigenspace
-with the last bits of the matrix.  The bytes are those of one numpy and
-LAPACK build: components of composite eigenvectors whose exact value is 0
-print as rounding noise (down to about 1e-33), which another build may
-round differently.
+they are the columns of V(chi) and never see the plate matrix.  A plate
+chain's composite is solved in closed form from its SU(2) Jones product J
+(``converters._spin1_eigen``), which never reads the 3x3 matrix either.
+The half-turn composite W, half-wave plate, W^-1 has a doubled -1
+eigenvalue, yet J's eigenvalues +-i are simple, so the two printed vectors
+of that eigenspace are the canonical pair {A Sym^2(u+), A Sym^2(u-)}.
+Only general unitaries go to the eig + QR solver, whose basis inside a
+doubled eigenspace would follow the last bits of the matrix; no such
+output is golden.  The bytes are those of one numpy build: components
+whose exact value is 0 print as rounding noise (about 1e-16 and below),
+which another build may round differently.
 """
 
 import contextlib
@@ -47,6 +49,7 @@ CASES = [
     ("eigen-composite", "eigen", "json"),
     ("eigen-quarter-wave-degrees", "eigen", "csv"),
     ("eigen-half-wave", "eigen", "json"),
+    ("eigen-half-turn-composite", "eigen", "json"),
     ("geodesic-pair", "geodesic", "json"),
     ("geodesic-segments", "geodesic", "csv"),
     ("vertex-triangle", "vertex", "csv"),
@@ -84,17 +87,24 @@ def numbers(value):
 
 @pytest.mark.parametrize("case, command", sorted({(case, command) for case, command, _ in CASES}))
 def test_golden_output_moves_at_rounding_level_with_the_plate_matrices(monkeypatch, case, command):
-    # the gate is only useful if a rounding-level change of Q moves the bytes
-    # at rounding level; an eigenvector of a doubled eigenvalue would not
+    # the gate is only useful if a rounding-level change of Q, or of the
+    # Jones pairs (t, r) that plate chains multiply, moves the bytes at
+    # rounding level; a solver's eigenvector of a doubled eigenvalue would not
     expected = numbers(json.loads(render(case, command, "json")))
     rng = np.random.default_rng(7)
-    exact = converters.q_stack
+    exact, exact_pair = converters.q_stack, converters.plate_coefficients
 
     def rounded(deltas, chi):
         q = exact(deltas, chi)
         return q * (1.0 + 4e-16 * rng.standard_normal(q.shape))
 
+    def rounded_pair(spec):
+        pair = exact_pair(spec)
+        t, r = (z + z * complex(*(4e-16 * rng.standard_normal(2))) for z in (pair.t, pair.r))
+        return converters.TransmissionPair(t, r)
+
     monkeypatch.setattr(converters, "q_stack", rounded)
+    monkeypatch.setattr(converters, "plate_coefficients", rounded_pair)
     for _ in range(3):
         got = numbers(json.loads(render(case, command, "json")))
         assert np.max(np.abs(np.subtract(got, expected)), initial=0.0) <= 1e-12

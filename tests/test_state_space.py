@@ -23,6 +23,7 @@ from biphase import (
     to_fock,
     to_pmz,
 )
+from biphase.state_space import NORM_TOL
 from conftest import random_state
 
 S = math.sqrt(0.5)
@@ -178,6 +179,21 @@ def test_curve_validation():
         Curve(np.array([0.0, 0.5, 1.0]), bad, Basis.PMZ)  # non-unit row
     with pytest.raises(UsageError):
         Curve(np.array([0.0, 1.0]), amps[:2, :2], Basis.PMZ)  # wrong width
+
+
+@given(st.lists(st.tuples(unit_triples(), st.floats(min_value=-3e-12, max_value=3e-12)), min_size=2, max_size=6))
+def test_curve_norm_check_keeps_the_verdict_of_the_squared_moduli(rows):
+    # rows scaled to |c|^2 = 1 + excess around the tolerance; the reference
+    # verdict sums |c|^2, the check squared real and imaginary parts
+    amps = np.stack([vec * math.sqrt(1.0 + excess) for vec, excess in rows])
+    old = np.abs(np.sum(np.abs(amps) ** 2, axis=1) - 1.0)
+    assume(np.min(np.abs(old - NORM_TOL)) >= 1e-14)
+    s = np.arange(float(len(rows)))
+    if np.max(old) > NORM_TOL:
+        with pytest.raises(UsageError):
+            Curve(s, amps, Basis.PMZ)
+    else:
+        Curve(s, amps, Basis.PMZ)
 
 
 def test_curve_accessors_round_trip():
