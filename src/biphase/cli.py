@@ -16,6 +16,9 @@ the ``geodesic`` subcommand.  Eigensystems are closed form: a single plate
 from its parameters (``plate_eigen``), the composite of ``eigen`` from the
 SU(2) product of the plates' Jones matrices (``eigen`` of ``compose``).
 
+One table, ``_COMMANDS``, gives each subcommand its handler, the config
+keys it accepts and its help text, for dispatch and help alike.
+
 All input is one JSON config document; complex numbers travel as
 [re, im] pairs and angles are radians unless the config sets
 "degrees": true.  Output is JSON or CSV with floats rendered by repr, so
@@ -101,9 +104,18 @@ def _as_number(value: Any, where: str) -> float:
     return result
 
 
-def _as_int(value: Any, where: str) -> int:
+def _as_int(value: Any, where: str, minimum: int | None = None) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         _fail(f"{where} must be an integer")
+    if minimum is not None and value < minimum:
+        _fail(f"{where} must be at least {minimum}")
+    return value
+
+
+def _as_flag(config: dict, key: str) -> bool:
+    value = config.get(key, False)
+    if not isinstance(value, bool):
+        _fail(f"{key} must be true or false")
     return value
 
 
@@ -184,18 +196,17 @@ def _parse_outputs(raw: Any) -> list[str]:
 
 
 def _angle_scale(config: dict) -> float:
-    degrees = config.get("degrees", False)
-    if not isinstance(degrees, bool):
-        _fail("degrees must be true or false")
-    return math.pi / 180.0 if degrees else 1.0
+    return math.pi / 180.0 if _as_flag(config, "degrees") else 1.0
 
 
-def _parse_samples(config: dict) -> int:
-    raw = config.get("samples", DEFAULT_SAMPLES)
-    n = _as_int(raw, "samples")
-    if n < 2:
-        _fail("samples must be at least 2")
-    return n
+def _read_sampling(config: dict, fmt: str) -> tuple[float, int, bool]:
+    """The angle scale, ``samples`` and ``emit_curve``, which run, sweep and geodesic read first."""
+    scale = _angle_scale(config)
+    samples = _as_int(config.get("samples", DEFAULT_SAMPLES), "samples", minimum=2)
+    emit_curve = _as_flag(config, "emit_curve")
+    if emit_curve and fmt != "json":
+        _fail("emit_curve requires --format json")
+    return scale, samples, emit_curve
 
 
 def _parse_epsilon(config: dict, scale: float) -> float:
@@ -301,33 +312,32 @@ def _overlaps(a: np.ndarray, b: np.ndarray) -> list[complex]:
     return np.vecdot(a, b).tolist()
 
 
+def _phase_reading(z: complex, dynamical: float, *, null_if_indeterminate: bool = False) -> dict:
+    """The phases and visibility of a path whose endpoints overlap as z, given its dynamical phase.
+
+    An indeterminate Pancharatnam phase raises, or with ``null_if_indeterminate``
+    leaves it and the geometric phase null.
+    """
+    try:
+        pan = _overlap_phase(z)
+    except IndeterminatePhaseError:
+        if not null_if_indeterminate:
+            raise
+        pan = geo = None
+    else:
+        geo = principal(pan - dynamical)
+    return {"pancharatnam": pan, "dynamical": dynamical, "geometric": geo, "visibility": _overlap_visibility(z)}
+
+
 def _phases_quantity(chain: _Chain) -> dict:
     # a run: one point, so every array holds one row
     states = chain.states
-    entries = []
-    for i, (start, end, dyn) in enumerate(zip(states, states[1:], chain.phases)):
-        (z,) = _overlaps(start, end)
-        pan = _overlap_phase(z)
-        dyn = float(dyn[0])
-        entries.append(
-            {
-                "plate_index": i,
-                "pancharatnam": pan,
-                "dynamical": dyn,
-                "geometric": principal(pan - dyn),
-                "visibility": _overlap_visibility(z),
-            }
-        )
-    (z,) = _overlaps(states[0], states[-1])
-    total_pan = _overlap_phase(z)
-    dynamical = float(chain.dynamical[0])
-    total = {
-        "pancharatnam": total_pan,
-        "dynamical": dynamical,
-        "geometric": principal(total_pan - dynamical),
-        "visibility": _overlap_visibility(z),
-    }
-    return {"total": total, "segments": entries}
+    segments = [
+        {"plate_index": i, **_phase_reading(_overlaps(start, end)[0], float(dyn[0]))}
+        for i, (start, end, dyn) in enumerate(zip(states, states[1:], chain.phases))
+    ]
+    total = _phase_reading(_overlaps(states[0], states[-1])[0], float(chain.dynamical[0]))
+    return {"total": total, "segments": segments}
 
 
 def _interference_quantity(z: complex, phi: float) -> dict:
@@ -355,41 +365,25 @@ def _curve_records(segments: Sequence[Curve]) -> list[list]:
     return records
 
 
-RUN_KEYS = {
-    "input_state",
-    "plates",
-    "sweep",
-    "outputs",
-    "degrees",
-    "samples",
-    "interference_phi",
-    "jump_epsilon",
-    "emit_curve",
-}
+def _read_setup(
+    config: dict, fmt: str, command: str
+) -> tuple[float, int, bool, StateVector, list[PlateSpec], list[str], float, float]:
+    """The keys ``run`` and ``sweep`` share: scale, samples, emit_curve, state, plates, outputs, phi, epsilon.
 
-
-def _parse_emit_curve(config: dict, fmt: str) -> bool:
-    emit = config.get("emit_curve", False)
-    if not isinstance(emit, bool):
-        _fail("emit_curve must be true or false")
-    if emit and fmt != "json":
-        _fail("emit_curve requires --format json")
-    return emit
-
-
-def _cmd_run(config: dict, fmt: str) -> dict:
-    _reject_unknown(config, RUN_KEYS, "config")
-    scale = _angle_scale(config)
-    samples = _parse_samples(config)
-    emit_curve = _parse_emit_curve(config, fmt)
+    The order of the reads decides which fault a config with several reports.
+    """
+    scale, samples, emit_curve = _read_sampling(config, fmt)
     if "input_state" not in config:
-        _fail("run needs an input_state")
+        _fail(f"{command} needs an input_state")
     state = _parse_state(config["input_state"], "input_state")
     plates = _parse_plates(config.get("plates", []), scale, "plates")
     outputs = _parse_outputs(config.get("outputs"))
     phi = _as_number(config.get("interference_phi", 0.0), "interference_phi") * scale
-    epsilon = _parse_epsilon(config, scale)
+    return scale, samples, emit_curve, state, plates, outputs, phi, _parse_epsilon(config, scale)
 
+
+def _cmd_run(config: dict, fmt: str) -> dict:
+    _, samples, emit_curve, state, plates, outputs, phi, epsilon = _read_setup(config, fmt, "run")
     chain = _evaluate(state, plates, [], [])
     final = chain.states[-1]
     (z,) = _overlaps(state.amplitudes, final)
@@ -438,9 +432,6 @@ def _cmd_run(config: dict, fmt: str) -> dict:
     return payload
 
 
-SWEEP_KEYS = RUN_KEYS - {"emit_curve"}
-
-
 def _parse_sweep_grid(config: dict, plates: Sequence[PlateSpec], scale: float) -> tuple[str, int, np.ndarray]:
     if "sweep" not in config:
         _fail("sweep needs a sweep grid")
@@ -451,9 +442,7 @@ def _parse_sweep_grid(config: dict, plates: Sequence[PlateSpec], scale: float) -
         _fail(f"sweep.parameter must be one of {', '.join(SWEEP_PARAMETERS)}")
     if "count" not in data:
         _fail("sweep needs a count")
-    count = _as_int(data["count"], "sweep.count")
-    if count < 2:
-        _fail("sweep.count must be at least 2")
+    count = _as_int(data["count"], "sweep.count", minimum=2)
     start = _as_number(data.get("start"), "sweep.start") * scale
     stop = _as_number(data.get("stop"), "sweep.stop") * scale
     index = _as_int(data.get("plate_index", 0), "sweep.plate_index")
@@ -473,15 +462,7 @@ def _swept_plate(base: PlateSpec, parameter: str, value: float) -> PlateSpec:
 
 
 def _cmd_sweep(config: dict, fmt: str) -> dict:
-    _reject_unknown(config, SWEEP_KEYS, "config")
-    scale = _angle_scale(config)
-    samples = _parse_samples(config)
-    if "input_state" not in config:
-        _fail("sweep needs an input_state")
-    state = _parse_state(config["input_state"], "input_state")
-    plates = _parse_plates(config.get("plates", []), scale, "plates")
-    outputs = _parse_outputs(config.get("outputs"))
-    phi = _as_number(config.get("interference_phi", 0.0), "interference_phi") * scale
+    scale, samples, _, state, plates, outputs, phi, _ = _read_setup(config, fmt, "sweep")
     parameter, index, values = _parse_sweep_grid(config, plates, scale)
 
     scenario = _two_level_from_state(state) if "jump" in outputs else None
@@ -495,16 +476,7 @@ def _cmd_sweep(config: dict, fmt: str) -> dict:
         record: dict[str, Any] = {parameter: value}
         for name in outputs:
             if name == "phases":
-                try:
-                    pan = _overlap_phase(z)
-                    geo = principal(pan - dyn)
-                except IndeterminatePhaseError:
-                    pan = None
-                    geo = None
-                record["pancharatnam"] = pan
-                record["dynamical"] = dyn
-                record["geometric"] = geo
-                record["visibility"] = _overlap_visibility(z)
+                record.update(_phase_reading(z, dyn, null_if_indeterminate=True))
             elif name == "eigen":
                 for k, value in enumerate(_plate_eigenvalues(spec), start=1):
                     record[f"eigenvalue_arg_{k}"] = eigenvalue_arg(value)
@@ -535,7 +507,6 @@ def _cmd_sweep(config: dict, fmt: str) -> dict:
 
 
 def _cmd_eigen(config: dict, fmt: str) -> dict:
-    _reject_unknown(config, {"plates", "degrees"}, "config")
     scale = _angle_scale(config)
     plates = _parse_plates(config.get("plates"), scale, "plates")
     if not plates:
@@ -552,9 +523,6 @@ def _cmd_eigen(config: dict, fmt: str) -> dict:
     return payload
 
 
-GEODESIC_KEYS = {"geodesic", "input_state", "plates", "degrees", "samples", "emit_curve"}
-
-
 def _segment_report(curve: Curve) -> dict:
     return {
         "geodesic_residual": geodesic_residual(curve),
@@ -564,10 +532,8 @@ def _segment_report(curve: Curve) -> dict:
 
 
 def _cmd_geodesic(config: dict, fmt: str) -> dict:
-    _reject_unknown(config, GEODESIC_KEYS, "config")
-    scale = _angle_scale(config)
-    samples = _parse_samples(config)
-    emit_curve = _parse_emit_curve(config, fmt)
+    scale, samples, emit_curve = _read_sampling(config, fmt)
+    payload: dict[str, Any] = {"command": "geodesic", "samples": samples}
     if "geodesic" in config:
         block = _as_mapping(config["geodesic"], "geodesic")
         _reject_unknown(block, {"from", "to"}, "geodesic")
@@ -575,40 +541,27 @@ def _cmd_geodesic(config: dict, fmt: str) -> dict:
             _fail("geodesic needs both 'from' and 'to' states")
         a = _parse_state(block["from"], "geodesic.from")
         b = _parse_state(block["to"], "geodesic.to")
-        curve = geodesic_between(a, b, samples)
-        payload: dict[str, Any] = {
-            "command": "geodesic",
-            "samples": samples,
-            "report": {
-                "arc_length": float(curve.s[-1]),
-                "endpoint_overlap": _complex_pair(inner(a, b)),
-                **_segment_report(curve),
-            },
+        curves = [geodesic_between(a, b, samples)]
+        payload["report"] = {
+            "arc_length": float(curves[0].s[-1]),
+            "endpoint_overlap": _complex_pair(inner(a, b)),
+            **_segment_report(curves[0]),
         }
-        if emit_curve:
-            payload["curve"] = _curve_records([curve])
-        return payload
-    if "input_state" not in config:
-        _fail("geodesic needs either a geodesic block or input_state with plates")
-    state = _parse_state(config["input_state"], "input_state")
-    plates = _parse_plates(config.get("plates"), scale, "plates")
-    if not plates:
-        _fail("geodesic segment mode needs at least one plate")
-    segments = _evolved_segments(state, plates, samples)
-    payload = {
-        "command": "geodesic",
-        "samples": samples,
-        "segments": [
-            {"plate_index": i, **_segment_report(curve)} for i, curve in enumerate(segments)
-        ],
-    }
+    else:
+        if "input_state" not in config:
+            _fail("geodesic needs either a geodesic block or input_state with plates")
+        state = _parse_state(config["input_state"], "input_state")
+        plates = _parse_plates(config.get("plates"), scale, "plates")
+        if not plates:
+            _fail("geodesic segment mode needs at least one plate")
+        curves = _evolved_segments(state, plates, samples)
+        payload["segments"] = [{"plate_index": i, **_segment_report(curve)} for i, curve in enumerate(curves)]
     if emit_curve:
-        payload["curve"] = _curve_records(segments)
+        payload["curve"] = _curve_records(curves)
     return payload
 
 
 def _cmd_vertex(config: dict, fmt: str) -> dict:
-    _reject_unknown(config, {"states"}, "config")
     raw = config.get("states")
     if not isinstance(raw, list) or len(raw) < 2:
         _fail("vertex needs a list of at least 2 states")
@@ -620,12 +573,32 @@ def _cmd_vertex(config: dict, fmt: str) -> dict:
     }
 
 
-_COMMANDS: dict[str, Callable[[dict, str], dict]] = {
-    "run": _cmd_run,
-    "sweep": _cmd_sweep,
-    "eigen": _cmd_eigen,
-    "geodesic": _cmd_geodesic,
-    "vertex": _cmd_vertex,
+class _Command(NamedTuple):
+    handler: Callable[[dict, str], dict]
+    keys: set[str]  # the accepted top-level config keys
+    help: str
+
+
+_COMMANDS = {
+    "run": _Command(
+        _cmd_run,
+        # a sweep block is accepted and ignored: a sweep config also runs
+        {"input_state", "plates", "sweep", "outputs", "degrees", "samples", "interference_phi", "jump_epsilon",
+         "emit_curve"},
+        "evolve one state through the plate list and report quantities",
+    ),
+    "sweep": _Command(
+        _cmd_sweep,
+        {"input_state", "plates", "sweep", "outputs", "degrees", "samples", "interference_phi", "jump_epsilon"},
+        "repeat a run over a parameter grid, one record per point",
+    ),
+    "eigen": _Command(_cmd_eigen, {"plates", "degrees"}, "eigenvalues and eigenvectors of the plate matrices"),
+    "geodesic": _Command(
+        _cmd_geodesic,
+        {"geodesic", "input_state", "plates", "degrees", "samples", "emit_curve"},
+        "residual report for a geodesic or for evolved segments",
+    ),
+    "vertex": _Command(_cmd_vertex, {"states"}, "polygon geometric phase of an ordered state list"),
 }
 
 
@@ -703,15 +676,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Phases of three-level biphoton states under phase-plate converters",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-    descriptions = {
-        "run": "evolve one state through the plate list and report quantities",
-        "sweep": "repeat a run over a parameter grid, one record per point",
-        "eigen": "eigenvalues and eigenvectors of the plate matrices",
-        "geodesic": "residual report for a geodesic or for evolved segments",
-        "vertex": "polygon geometric phase of an ordered state list",
-    }
-    for name, text in descriptions.items():
-        sub = subparsers.add_parser(name, help=text)
+    for name, command in _COMMANDS.items():
+        sub = subparsers.add_parser(name, help=command.help)
         sub.add_argument("--config", required=True, help="path to the JSON config")
         sub.add_argument("--out", help="output file path (default: stdout)")
         sub.add_argument("--format", choices=("json", "csv"), default="json")
@@ -729,8 +695,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         _parser = build_parser()
     args = _parser.parse_args(argv)
     try:
+        command = _COMMANDS[args.command]
         config = _load_config(args.config)
-        payload = _COMMANDS[args.command](config, args.format)
+        _reject_unknown(config, command.keys, "config")
+        payload = command.handler(config, args.format)
         _deliver(_render(payload, args.format), args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -125,13 +125,14 @@ def parallel_lift(curve: Curve) -> Curve:
     accumulated by the trapezoid rule from the first sample.  Rays are
     untouched; the lifted curve has |<psi|dpsi/ds>| at the discretization
     floor, and on it the Pancharatnam phase of the endpoints is purely
-    geometric.
+    geometric.  An angle sum that overflows is refused with ``NumericError``.
     """
     if len(curve) < 3:
         raise UsageError("the lift needs at least 3 samples")
     rate = -curve._vertical.imag
-    alpha = np.concatenate(([0.0], np.cumsum(np.diff(curve.s) * (rate[1:] + rate[:-1]) / 2.0)))
-    return gauge_transform(curve, alpha)
+    with np.errstate(over="ignore", invalid="ignore"):
+        alpha = np.concatenate(([0.0], np.cumsum(np.diff(curve.s) * (rate[1:] + rate[:-1]) / 2.0)))
+    return gauge_transform(curve, alpha)  # refuses angles that are not finite
 
 
 def curve_length(curve: Curve) -> float:

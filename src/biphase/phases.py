@@ -20,7 +20,7 @@ import numpy as np
 
 from .angles import principal
 from .converters import PlateSpec, _generator, q_matrix
-from .errors import BasisMismatchError, IndeterminatePhaseError, UsageError
+from .errors import BasisMismatchError, IndeterminatePhaseError, NumericError, UsageError
 from .state_space import Basis, Curve, StateVector, inner, overlap_series
 
 #: Overlap magnitude below which a relative phase is indeterminate.
@@ -116,16 +116,22 @@ def _simpson(y: np.ndarray, x: np.ndarray, uniform: bool) -> float:
     Falls back to the trapezoid rule otherwise, which keeps the quadrature
     at or above the O(step^2) accuracy of the finite-difference integrands
     it is fed.  ``uniform`` says whether ``x`` is uniform, as the curve's
-    shared step knows.
+    shared step knows.  A sum that overflows, as a finite integrand can on
+    a subnormal span, is refused.
     """
     y = np.asarray(y, dtype=float)
     x = np.asarray(x, dtype=float)
     span = float(x[-1] - x[0])
     intervals = x.size - 1
-    if uniform and intervals >= 2 and intervals % 2 == 0:
-        h = span / intervals
-        return float(h / 3.0 * (y[0] + y[-1] + 4.0 * np.sum(y[1:-1:2]) + 2.0 * np.sum(y[2:-2:2])))
-    return float(np.trapezoid(y, x))
+    with np.errstate(over="ignore", invalid="ignore"):
+        if uniform and intervals >= 2 and intervals % 2 == 0:
+            h = span / intervals
+            total = float(h / 3.0 * (y[0] + y[-1] + 4.0 * np.sum(y[1:-1:2]) + 2.0 * np.sum(y[2:-2:2])))
+        else:
+            total = float(np.trapezoid(y, x))
+    if not math.isfinite(total):
+        raise NumericError(f"quadrature overflows: the sum is {total!r}")
+    return total
 
 
 def dynamical_phase_numeric(curve: Curve) -> float:

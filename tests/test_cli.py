@@ -156,6 +156,169 @@ def test_bad_run_configs_exit_2(capsys, tmp_path, config):
     assert err.startswith("config error:")
 
 
+# -- every config-error message, for each command that reads the key --------
+
+ERR_STATE = state_payload(S, S, 0)
+ERR_PLATE = {"delta": 0.3, "chi": 0.1}
+ERR_GRID = {"parameter": "delta", "start": 0.0, "stop": 1.0, "count": 3}
+ERR_BASES = {
+    "run": {"input_state": ERR_STATE, "plates": [ERR_PLATE]},
+    "sweep": {"input_state": ERR_STATE, "plates": [ERR_PLATE], "sweep": ERR_GRID},
+    "eigen": {"plates": [ERR_PLATE]},
+    "geodesic": {"input_state": ERR_STATE, "plates": [ERR_PLATE], "samples": 11},
+    "vertex": {"states": [ERR_STATE, state_payload(1, 0, 0)]},
+}
+GEODESIC_PAIR = {"geodesic": {"from": ERR_STATE, "to": state_payload(1, 0, 0)}, "samples": 11}
+DROP = object()
+
+
+def edited(base, **changes):
+    """``base`` with keys replaced, added, or removed where the value is DROP."""
+    config = {**base, **changes}
+    return {key: value for key, value in config.items() if value is not DROP}
+
+
+def state_with(**changes):
+    return edited(ERR_STATE, **changes)
+
+
+STATE_COMMANDS = ("run", "sweep", "geodesic")
+PLATE_COMMANDS = ("run", "sweep", "eigen", "geodesic")
+QUANTITY_COMMANDS = ("run", "sweep")
+SAMPLES_COMMANDS = ("run", "sweep", "geodesic")
+CONFIG_ERRORS = [
+    # (commands, edit of each command's base config or a whole config, extra argv, message)
+    (("run", "sweep", "eigen", "geodesic", "vertex"), [1], (), "config must be a JSON object"),
+    (("run", "sweep", "eigen", "geodesic", "vertex"), {"mystery": 1}, (), "config has unknown keys: mystery"),
+    (("run",), {"beta": 1, "alpha": 2}, (), "config has unknown keys: alpha, beta"),
+    (("sweep",), {"emit_curve": False}, (), "config has unknown keys: emit_curve"),
+    (("eigen",), {"samples": 11}, (), "config has unknown keys: samples"),
+    (("geodesic",), {"outputs": ["phases"]}, (), "config has unknown keys: outputs"),
+    (("vertex",), {"degrees": False}, (), "config has unknown keys: degrees"),
+    (STATE_COMMANDS, {"input_state": "pmz"}, (), "input_state must be a JSON object"),
+    (STATE_COMMANDS, {"input_state": state_with(norm=1)}, (), "input_state has unknown keys: norm"),
+    (STATE_COMMANDS, {"input_state": state_with(basis="hv")}, (), "input_state.basis must be 'fock' or 'pmz'"),
+    (
+        STATE_COMMANDS,
+        {"input_state": state_with(amplitudes=[[1, 0], [0, 0]])},
+        (),
+        "input_state.amplitudes must be a list of 3 [re, im] pairs",
+    ),
+    (
+        STATE_COMMANDS,
+        {"input_state": state_with(amplitudes=[[1, 0], [0], [0, 0]])},
+        (),
+        "input_state.amplitudes[1] must be a [re, im] pair",
+    ),
+    (
+        STATE_COMMANDS,
+        {"input_state": state_with(amplitudes=[[1, "0"], [0, 0], [0, 0]])},
+        (),
+        "input_state.amplitudes[0][1] must be a number",
+    ),
+    (
+        STATE_COMMANDS,
+        {"input_state": state_with(amplitudes=[[1, 0], [0, 0], [math.nan, 0]])},
+        (),
+        "input_state.amplitudes[2][0] must be finite",
+    ),
+    (PLATE_COMMANDS, {"plates": {"delta": 0.3, "chi": 0.1}}, (), "plates must be a list of plate objects"),
+    (("eigen", "geodesic"), {"plates": DROP}, (), "plates must be a list of plate objects"),
+    (PLATE_COMMANDS, {"plates": [ERR_PLATE, 0.3]}, (), "plates[1] must be a JSON object"),
+    (PLATE_COMMANDS, {"plates": [{**ERR_PLATE, "phi": 0}]}, (), "plates[0] has unknown keys: phi"),
+    (PLATE_COMMANDS, {"plates": [{"delta": 0.3}]}, (), "plates[0] needs both 'delta' and 'chi'"),
+    (PLATE_COMMANDS, {"plates": [{"delta": True, "chi": 0.1}]}, (), "plates[0].delta must be a number"),
+    (PLATE_COMMANDS, {"plates": [{"delta": 0.3, "chi": math.inf}]}, (), "plates[0].chi must be finite"),
+    (QUANTITY_COMMANDS, {"outputs": []}, (), "outputs must be a non-empty list of quantity names"),
+    (QUANTITY_COMMANDS, {"outputs": "phases"}, (), "outputs must be a non-empty list of quantity names"),
+    (
+        QUANTITY_COMMANDS,
+        {"outputs": ["phases", "bogus"]},
+        (),
+        "unknown output quantity 'bogus'; choose from phases, eigen, geodesic-check, interference, jump",
+    ),
+    (QUANTITY_COMMANDS, {"outputs": ["jump", "jump"]}, (), "output quantity 'jump' requested twice"),
+    (PLATE_COMMANDS, {"degrees": 1}, (), "degrees must be true or false"),
+    (SAMPLES_COMMANDS, {"samples": 11.0}, (), "samples must be an integer"),
+    (SAMPLES_COMMANDS, {"samples": True}, (), "samples must be an integer"),
+    (SAMPLES_COMMANDS, {"samples": 1}, (), "samples must be at least 2"),
+    (QUANTITY_COMMANDS, {"interference_phi": "0"}, (), "interference_phi must be a number"),
+    (QUANTITY_COMMANDS, {"interference_phi": -math.inf}, (), "interference_phi must be finite"),
+    (QUANTITY_COMMANDS, {"jump_epsilon": "abc"}, (), "jump_epsilon must be a number"),
+    (QUANTITY_COMMANDS, {"jump_epsilon": 0.1}, (), "jump_epsilon must sit in (0, 0.1) radians"),
+    (QUANTITY_COMMANDS, {"jump_epsilon": 6.0, "degrees": True}, (), "jump_epsilon must sit in (0, 0.1) radians"),
+    (("run", "geodesic"), {"emit_curve": 0}, (), "emit_curve must be true or false"),
+    (("run", "geodesic"), {"emit_curve": True}, ("--format", "csv"), "emit_curve requires --format json"),
+    (("run",), {"input_state": DROP}, (), "run needs an input_state"),
+    (("sweep",), {"input_state": DROP}, (), "sweep needs an input_state"),
+    (("sweep",), {"sweep": DROP}, (), "sweep needs a sweep grid"),
+    (("sweep",), {"sweep": [ERR_GRID]}, (), "sweep must be a JSON object"),
+    (("sweep",), {"sweep": {**ERR_GRID, "step": 0.1}}, (), "sweep has unknown keys: step"),
+    (("sweep",), {"sweep": {**ERR_GRID, "parameter": "phi"}}, (), "sweep.parameter must be one of delta, chi, s"),
+    (("sweep",), {"sweep": edited(ERR_GRID, count=DROP)}, (), "sweep needs a count"),
+    (("sweep",), {"sweep": {**ERR_GRID, "count": 3.0}}, (), "sweep.count must be an integer"),
+    (("sweep",), {"sweep": {**ERR_GRID, "count": 1}}, (), "sweep.count must be at least 2"),
+    (("sweep",), {"sweep": edited(ERR_GRID, start=DROP)}, (), "sweep.start must be a number"),
+    (("sweep",), {"sweep": {**ERR_GRID, "stop": math.nan}}, (), "sweep.stop must be finite"),
+    (("sweep",), {"sweep": {**ERR_GRID, "plate_index": "0"}}, (), "sweep.plate_index must be an integer"),
+    (("sweep",), {"plates": []}, (), "sweep needs at least one plate"),
+    (("sweep",), {"plates": DROP}, (), "sweep needs at least one plate"),
+    (
+        ("sweep",),
+        {"sweep": {**ERR_GRID, "plate_index": 1}},
+        (),
+        "sweep.plate_index 1 is out of range for 1 plates",
+    ),
+    (("eigen",), {"plates": []}, (), "eigen needs at least one plate"),
+    (("geodesic",), {**GEODESIC_PAIR, "geodesic": "pair"}, (), "geodesic must be a JSON object"),
+    (
+        ("geodesic",),
+        {**GEODESIC_PAIR, "geodesic": {**GEODESIC_PAIR["geodesic"], "via": ERR_STATE}},
+        (),
+        "geodesic has unknown keys: via",
+    ),
+    (("geodesic",), {"geodesic": {"from": ERR_STATE}}, (), "geodesic needs both 'from' and 'to' states"),
+    (
+        ("geodesic",),
+        {"geodesic": {"from": ERR_STATE, "to": state_with(basis="hv")}},
+        (),
+        "geodesic.to.basis must be 'fock' or 'pmz'",
+    ),
+    (
+        ("geodesic",),
+        {"input_state": DROP},
+        (),
+        "geodesic needs either a geodesic block or input_state with plates",
+    ),
+    (("geodesic",), {"plates": []}, (), "geodesic segment mode needs at least one plate"),
+    (("vertex",), {"states": [ERR_STATE]}, (), "vertex needs a list of at least 2 states"),
+    (("vertex",), {"states": DROP}, (), "vertex needs a list of at least 2 states"),
+    (("vertex",), {"states": [ERR_STATE, "pmz"]}, (), "states[1] must be a JSON object"),
+    (("vertex",), {"states": [state_with(basis=None), ERR_STATE]}, (), "states[0].basis must be 'fock' or 'pmz'"),
+    # two faults in one config: the first one read is reported
+    (("run",), {"mystery": 1, "degrees": "yes"}, (), "config has unknown keys: mystery"),
+    (("run",), {"samples": 0, "degrees": "yes"}, (), "degrees must be true or false"),
+    (("run", "geodesic"), {"input_state": DROP, "emit_curve": "yes"}, (), "emit_curve must be true or false"),
+    (("sweep",), {"sweep": DROP, "outputs": []}, (), "outputs must be a non-empty list of quantity names"),
+    (("sweep",), {"sweep": DROP, "jump_epsilon": "abc"}, (), "jump_epsilon must be a number"),
+    (("geodesic",), {**GEODESIC_PAIR, "geodesic": {"to": ERR_STATE}, "samples": 1}, (), "samples must be at least 2"),
+]
+
+
+def config_error_cases():
+    for commands, change, argv, message in CONFIG_ERRORS:
+        for command in commands:
+            config = edited(ERR_BASES[command], **change) if isinstance(change, dict) else change
+            yield pytest.param(command, config, argv, message, id=f"{command}: {message}")
+
+
+@pytest.mark.parametrize("command, config, argv, message", config_error_cases())
+def test_config_errors_exit_2_with_their_message(capsys, tmp_path, command, config, argv, message):
+    path = write_config(tmp_path, config)
+    code, out, err = invoke(capsys, command, "--config", path, *argv)
+    assert (code, out, err) == (2, "", f"config error: {message}\n")
+
+
 def test_sweep_needs_a_wide_enough_grid(capsys, tmp_path):
     config = {
         "input_state": state_payload(1, 0, 0),

@@ -66,8 +66,13 @@ def ref_simpson(y, x):
     intervals = x.size - 1
     if ref_uniform_step(x) is not None and intervals >= 2 and intervals % 2 == 0:
         h = span / intervals
-        return float(h / 3.0 * (y[0] + y[-1] + 4.0 * np.sum(y[1:-1:2]) + 2.0 * np.sum(y[2:-2:2])))
-    return float(np.trapezoid(y, x))
+        total = float(h / 3.0 * (y[0] + y[-1] + 4.0 * np.sum(y[1:-1:2]) + 2.0 * np.sum(y[2:-2:2])))
+    else:
+        total = float(np.trapezoid(y, x))
+    # a sum that overflows is refused, not returned
+    if not math.isfinite(total):
+        raise NumericError("quadrature overflows")
+    return total
 
 
 def ref_dynamical_phase(s, amps):
@@ -174,6 +179,7 @@ def test_every_consumer_matches_its_own_differentiation(curve):
     s, amps = curve.s, curve.amplitudes
     with warnings.catch_warnings():
         # on subnormal spans the reference warns before it refuses the velocity
+        # or the quadrature
         warnings.simplefilter("ignore", RuntimeWarning)
         for function, reference in CONSUMERS:
             assert same(outcome(function, curve), outcome(reference, s, amps)), function
@@ -246,6 +252,28 @@ def test_a_velocity_that_overflows_is_a_typed_error(function):
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(NumericError, match="velocity overflows"):
             function(Curve(s, amps, Basis.PMZ))
+
+
+@pytest.mark.parametrize(
+    "function, message",
+    [
+        (dynamical_phase_numeric, "quadrature overflows"),
+        (geometric_phase, "quadrature overflows"),
+        (parallel_lift, "gauge angles must be finite"),
+    ],
+)
+def test_a_quadrature_that_overflows_is_a_typed_error(function, message):
+    # rays that turn by 1 rad over a subnormal span of 1e-308 move at about
+    # 1e308: the velocity stays finite, but its weighted sums overflow
+    s = np.linspace(0.0, 1e-308, 11)
+    turn = np.linspace(0.0, 1.0, 11)
+    amps = np.stack([np.cos(turn), np.sin(turn), np.zeros(11)], axis=1) * np.exp(1j * turn)[:, None]
+    curve = Curve(s, amps, Basis.PMZ)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert np.all(np.isfinite(curve._velocity))
+        with pytest.raises(NumericError, match=message):
+            function(curve)
 
 
 # -- the uniform-step test against np.allclose -----------------------------
