@@ -3,18 +3,22 @@
 Subcommands map to the analysis kinds the library exposes: ``run`` evolves
 one state through a plate sequence and reports requested quantities,
 ``sweep`` repeats that over a parameter grid, ``eigen`` decomposes plate
-matrices, ``geodesic`` reports residuals for geodesics or evolved segments,
+matrices, ``geodesic`` reports residuals for geodesics or plate segments,
 and ``vertex`` evaluates the polygon phase of a state list.
 
-A plate is a closed-form segment: ``run`` and ``sweep`` propagate each
-state to the plate's endpoint and report its exact dynamical phase
-delta <psi|H|psi>, with no sampled curve in between.  Both go through one
-evaluator that propagates all grid points of a sweep together; a run is a
-sweep of one point.  ``samples`` therefore sets only the curves
-``emit_curve`` adds, the delta grid of the geodesic check and the curves of
-the ``geodesic`` subcommand.  Eigensystems are closed form: a single plate
-from its parameters (``plate_eigen``), the composite of ``eigen`` from the
-SU(2) product of the plates' Jones matrices (``eigen`` of ``compose``).
+A plate is a closed-form segment: ``run``, ``sweep`` and ``geodesic``
+segment mode propagate each state to the plate's endpoint, with no sampled
+curve in between.  All three go through one evaluator, which also gives
+the moments m = <psi|H|psi> and q = <H psi|H psi> of each plate's input:
+``run`` and ``sweep`` report the exact dynamical phase delta m, and segment
+mode the length and residuals that follow from m and q.  The evaluator
+propagates all grid points of a sweep together; a run, like a segment
+report, is a sweep of one point.  ``samples`` therefore sets only the
+curves ``emit_curve`` adds, the delta grid of the geodesic check and the
+great circle of ``geodesic`` pair mode.  Eigensystems are closed form: a
+single plate from its parameters (``plate_eigen``), the composite of
+``eigen`` from the SU(2) product of the plates' Jones matrices (``eigen``
+of ``compose``).
 
 One table, ``_COMMANDS``, gives each subcommand its handler, the config
 keys it accepts and its help text, for dispatch and help alike.
@@ -54,7 +58,7 @@ from .converters import (
     plate_eigen,
     q_matrix,
 )
-from .errors import BiphaseError, ConfigError, IndeterminatePhaseError, UsageError
+from .errors import BiphaseError, ConfigError, IndeterminatePhaseError, NumericError, UsageError
 from .geodesics import (
     GeodesicScenario,
     _check_waves,
@@ -67,7 +71,7 @@ from .geodesics import (
     two_level_fringe,
 )
 from .phases import (
-    _expectations,
+    _moments,
     _overlap_intensity,
     _overlap_phase,
     _overlap_visibility,
@@ -224,7 +228,9 @@ class _Chain(NamedTuple):
 
     #: amplitudes entering each plate, then those leaving the last, (points, 3)
     states: list[np.ndarray]
-    #: closed-form dynamical phase of each plate, (points,)
+    #: m = <psi|H|psi> and q = <H psi|H psi> of each plate's input, (points,) each
+    moments: list[tuple[np.ndarray, np.ndarray]]
+    #: closed-form dynamical phase delta m of each plate, (points,)
     phases: list[np.ndarray]
     #: left-to-right sum of the phases, (points,)
     dynamical: np.ndarray
@@ -262,13 +268,14 @@ def _evaluate(
         columns.append(_column(swept))
     columns.extend(_column([spec]) for spec in tail)
     rows = state.amplitudes[None, :]
-    states, phases, dynamical = [rows], [], np.zeros(1)
+    states, moments, phases, dynamical = [rows], [], [], np.zeros(1)
     for basis, generator, thickness in columns:
-        phases.append(thickness * _expectations(generator, rows))
+        moments.append(_moments(generator, rows))
+        phases.append(thickness * moments[-1][0])
         dynamical = dynamical + phases[-1]
         rows = _propagate_rows(basis, thickness, rows)
         states.append(rows)
-    return _Chain(states, phases, dynamical)
+    return _Chain(states, moments, phases, dynamical)
 
 
 def _evolved_segments(
@@ -383,7 +390,9 @@ def _read_setup(
 
 
 def _cmd_run(config: dict, fmt: str) -> dict:
-    _, samples, emit_curve, state, plates, outputs, phi, epsilon = _read_setup(config, fmt, "run")
+    scale, samples, emit_curve, state, plates, outputs, phi, epsilon = _read_setup(config, fmt, "run")
+    if "sweep" in config:
+        _parse_sweep_grid(config, plates, scale)  # checked, then unused: a sweep config also runs
     chain = _evaluate(state, plates, [], [])
     final = chain.states[-1]
     (z,) = _overlaps(state.amplitudes, final)
@@ -523,11 +532,23 @@ def _cmd_eigen(config: dict, fmt: str) -> dict:
     return payload
 
 
-def _segment_report(curve: Curve) -> dict:
+def _segment_geometry(delta: float, m: float, q: float) -> dict:
+    """Residuals and length of a plate segment whose input has moments m and q.
+
+    Along psi(d) = exp(i d H) psi0 the velocity is i H psi, and H commutes
+    with exp(i d H), so m and q hold all along the plate.  The vertical part
+    <psi|dpsi/dd> is i m, the acceleration -H^2 psi, and the residual
+    (q - H^2) psi has squared norm q (4 - q), since H^4 = 4 H^2.  The
+    residuals are rates per unit thickness, the same for every delta,
+    zero included; only the length scales with |delta|.
+    """
+    length = abs(delta) * math.sqrt(max(0.0, q - m * m))
+    if math.isinf(length):
+        raise NumericError(f"segment length overflows for delta = {delta!r}")
     return {
-        "geodesic_residual": geodesic_residual(curve),
-        "horizontality_residual": horizontality_residual(curve),
-        "length": curve_length(curve),
+        "geodesic_residual": math.sqrt(max(0.0, q * (4.0 - q))),
+        "horizontality_residual": abs(m),
+        "length": length,
     }
 
 
@@ -541,12 +562,17 @@ def _cmd_geodesic(config: dict, fmt: str) -> dict:
             _fail("geodesic needs both 'from' and 'to' states")
         a = _parse_state(block["from"], "geodesic.from")
         b = _parse_state(block["to"], "geodesic.to")
-        curves = [geodesic_between(a, b, samples)]
+        # the great circle is checked numerically, on its own samples
+        curve = geodesic_between(a, b, samples)
         payload["report"] = {
-            "arc_length": float(curves[0].s[-1]),
+            "arc_length": float(curve.s[-1]),
             "endpoint_overlap": _complex_pair(inner(a, b)),
-            **_segment_report(curves[0]),
+            "geodesic_residual": geodesic_residual(curve),
+            "horizontality_residual": horizontality_residual(curve),
+            "length": curve_length(curve),
         }
+        if emit_curve:
+            payload["curve"] = _curve_records([curve])
     else:
         if "input_state" not in config:
             _fail("geodesic needs either a geodesic block or input_state with plates")
@@ -554,10 +580,13 @@ def _cmd_geodesic(config: dict, fmt: str) -> dict:
         plates = _parse_plates(config.get("plates"), scale, "plates")
         if not plates:
             _fail("geodesic segment mode needs at least one plate")
-        curves = _evolved_segments(state, plates, samples)
-        payload["segments"] = [{"plate_index": i, **_segment_report(curve)} for i, curve in enumerate(curves)]
-    if emit_curve:
-        payload["curve"] = _curve_records(curves)
+        chain = _evaluate(state, plates, [], [])
+        payload["segments"] = [
+            {"plate_index": i, **_segment_geometry(spec.delta, float(m[0]), float(q[0]))}
+            for i, (spec, (m, q)) in enumerate(zip(plates, chain.moments))
+        ]
+        if emit_curve:
+            payload["curve"] = _curve_records(_evolved_segments(state, plates, samples))
     return payload
 
 
@@ -582,7 +611,7 @@ class _Command(NamedTuple):
 _COMMANDS = {
     "run": _Command(
         _cmd_run,
-        # a sweep block is accepted and ignored: a sweep config also runs
+        # a sweep block is checked and otherwise ignored: a sweep config also runs
         {"input_state", "plates", "sweep", "outputs", "degrees", "samples", "interference_phi", "jump_epsilon",
          "emit_curve"},
         "evolve one state through the plate list and report quantities",

@@ -65,6 +65,8 @@ UNITARITY_TOL = 1e-10
 EIGEN_RESIDUAL_TOL = 1e-9
 #: Eigenvalue arguments this close above -pi are reported as +pi.
 HALF_TURN_TOL = 1e-12
+#: Largest |delta| or |chi| of a plate, so that 2 delta and 2 chi stay finite.
+MAX_PLATE_PARAMETER = sys.float_info.max / 2
 
 
 @dataclass(frozen=True)
@@ -77,6 +79,8 @@ class PlateSpec:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.delta) and math.isfinite(self.chi)):
             raise UsageError("plate parameters must be finite")
+        if max(abs(self.delta), abs(self.chi)) > MAX_PLATE_PARAMETER:
+            raise UsageError(f"plate parameters must be at most {MAX_PLATE_PARAMETER!r} in magnitude")
 
 
 @dataclass(frozen=True)

@@ -88,6 +88,8 @@ def geodesic_residual(curve: Curve) -> float:
         raise UsageError("samples must be uniformly spaced")
     if h < MIN_PRODUCT_STEP:
         raise NumericError(f"step {h!r} is too small for second differences: its square underflows")
+    if math.isinf(h * h):
+        raise NumericError(f"step {h!r} is too large for second differences: its square overflows")
     amps = curve.amplitudes
     acc = (amps[:-2] - 2.0 * amps[1:-1] + amps[2:]) / h**2
     vel = (amps[2:] - amps[:-2]) / (2.0 * h)

@@ -97,17 +97,19 @@ def dynamical_phase_closed_form(state: StateVector, spec: PlateSpec) -> float:
     """
     if state.basis is not Basis.PMZ:
         raise BasisMismatchError("closed form needs plate-basis amplitudes")
-    return float(spec.delta * _expectations(_generator(spec.chi), state.amplitudes))
+    return float(spec.delta * _moments(_generator(spec.chi), state.amplitudes)[0])
 
 
-def _expectations(h: np.ndarray, amplitudes: np.ndarray) -> np.ndarray:
-    """<psi|H|psi> row by row for a generator H, or a stack with one per row.
+def _moments(h: np.ndarray, amplitudes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """m = <psi|H|psi> and q = <H psi|H psi> row by row, for a generator H or a stack with one per row.
 
-    One matrix-vector product and one conjugated dot product per row, the
-    same operations for any number of rows, so a sweep point's dynamical
-    phase is bit-identical to the run of that point.
+    Both come from one matrix-vector product H psi and a conjugated dot
+    product each per row, the same operations for any number of rows, so a
+    sweep point's dynamical phase delta m is bit-identical to the run of
+    that point.
     """
-    return np.vecdot(amplitudes, np.matmul(h, amplitudes[..., None])[..., 0]).real
+    h_psi = np.matmul(h, amplitudes[..., None])[..., 0]
+    return np.vecdot(amplitudes, h_psi).real, np.vecdot(h_psi, h_psi).real
 
 
 def _simpson(y: np.ndarray, x: np.ndarray, uniform: bool) -> float:

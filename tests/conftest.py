@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -22,3 +24,10 @@ def random_amplitudes(rng: np.random.Generator) -> np.ndarray:
 
 def random_state(rng: np.random.Generator, basis: Basis = Basis.PMZ) -> StateVector:
     return StateVector.normalized(random_amplitudes(rng), basis)
+
+
+def plate_moments(state: StateVector, chi: float) -> tuple[float, float]:
+    """m = <psi|H|psi> and q = <H psi|H psi> of the plate generator H(chi), built here from its entries."""
+    c, s = math.cos(2.0 * chi), math.sin(2.0 * chi)
+    h_psi = 2.0 * np.array([[0.0, c, s], [c, 0.0, 0.0], [s, 0.0, 0.0]]) @ state.amplitudes
+    return float(np.vdot(state.amplitudes, h_psi).real), float(np.vdot(h_psi, h_psi).real)

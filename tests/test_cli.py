@@ -26,7 +26,10 @@ from biphase import (
     inner,
     propagate,
 )
-from biphase.cli import main
+from biphase.cli import _segment_geometry, main
+from biphase.converters import MAX_PLATE_PARAMETER
+from biphase.errors import NumericError
+from conftest import plate_moments
 
 S = math.sqrt(0.5)
 PI = math.pi
@@ -252,19 +255,19 @@ CONFIG_ERRORS = [
     (("run",), {"input_state": DROP}, (), "run needs an input_state"),
     (("sweep",), {"input_state": DROP}, (), "sweep needs an input_state"),
     (("sweep",), {"sweep": DROP}, (), "sweep needs a sweep grid"),
-    (("sweep",), {"sweep": [ERR_GRID]}, (), "sweep must be a JSON object"),
-    (("sweep",), {"sweep": {**ERR_GRID, "step": 0.1}}, (), "sweep has unknown keys: step"),
-    (("sweep",), {"sweep": {**ERR_GRID, "parameter": "phi"}}, (), "sweep.parameter must be one of delta, chi, s"),
-    (("sweep",), {"sweep": edited(ERR_GRID, count=DROP)}, (), "sweep needs a count"),
-    (("sweep",), {"sweep": {**ERR_GRID, "count": 3.0}}, (), "sweep.count must be an integer"),
-    (("sweep",), {"sweep": {**ERR_GRID, "count": 1}}, (), "sweep.count must be at least 2"),
-    (("sweep",), {"sweep": edited(ERR_GRID, start=DROP)}, (), "sweep.start must be a number"),
-    (("sweep",), {"sweep": {**ERR_GRID, "stop": math.nan}}, (), "sweep.stop must be finite"),
-    (("sweep",), {"sweep": {**ERR_GRID, "plate_index": "0"}}, (), "sweep.plate_index must be an integer"),
+    (("run", "sweep"), {"sweep": [ERR_GRID]}, (), "sweep must be a JSON object"),
+    (("run", "sweep"), {"sweep": {**ERR_GRID, "step": 0.1}}, (), "sweep has unknown keys: step"),
+    (("run", "sweep"), {"sweep": {**ERR_GRID, "parameter": "phi"}}, (), "sweep.parameter must be one of delta, chi, s"),
+    (("run", "sweep"), {"sweep": edited(ERR_GRID, count=DROP)}, (), "sweep needs a count"),
+    (("run", "sweep"), {"sweep": {**ERR_GRID, "count": 3.0}}, (), "sweep.count must be an integer"),
+    (("run", "sweep"), {"sweep": {**ERR_GRID, "count": 1}}, (), "sweep.count must be at least 2"),
+    (("run", "sweep"), {"sweep": edited(ERR_GRID, start=DROP)}, (), "sweep.start must be a number"),
+    (("run", "sweep"), {"sweep": {**ERR_GRID, "stop": math.nan}}, (), "sweep.stop must be finite"),
+    (("run", "sweep"), {"sweep": {**ERR_GRID, "plate_index": "0"}}, (), "sweep.plate_index must be an integer"),
     (("sweep",), {"plates": []}, (), "sweep needs at least one plate"),
     (("sweep",), {"plates": DROP}, (), "sweep needs at least one plate"),
     (
-        ("sweep",),
+        ("run", "sweep"),
         {"sweep": {**ERR_GRID, "plate_index": 1}},
         (),
         "sweep.plate_index 1 is out of range for 1 plates",
@@ -731,18 +734,91 @@ def test_geodesic_rejects_a_shared_ray(capsys, tmp_path):
     assert err.startswith("error:")
 
 
-def test_geodesic_of_a_plate_too_thin_to_difference_is_a_typed_error(capsys, tmp_path):
-    # its 401 samples are 2.5e-303 apart, and the square of that step underflows
-    config = {
-        "input_state": state_payload(0.6, 0.48 + 0.3j, -0.2 + 0.52j),
-        "plates": [{"delta": 1e-300, "chi": 0.2}],
-        "samples": 401,
-    }
-    path = write_config(tmp_path, config)
-    code, out, err = invoke(capsys, "geodesic", "--config", path)
-    assert code == 3
-    assert out == ""
-    assert err.startswith("error:") and "underflows" in err
+def test_geodesic_segments_report_their_closed_forms(capsys, tmp_path):
+    # a plate too thin to difference (samples 2.5e-303 apart), a subnormal one,
+    # a zero one and a thick one: the residuals are rates per unit thickness,
+    # the same for every delta, and only the length scales with |delta|
+    amps = (0.6, 0.48 + 0.3j, -0.2 + 0.52j)
+    plates = [
+        {"delta": 1e-300, "chi": 0.2},
+        {"delta": 5e-324, "chi": -0.45},
+        {"delta": 0.0, "chi": 1.1},
+        {"delta": -23.0, "chi": 0.7},
+    ]
+    config = {"input_state": state_payload(*amps), "plates": plates, "samples": 401}
+    payload = run_json(capsys, tmp_path, "geodesic", config)
+    state = StateVector.normalized(np.array(amps), Basis.PMZ)
+    for plate, segment in zip(plates, payload["segments"], strict=True):
+        m, q = plate_moments(state, plate["chi"])
+        assert segment["horizontality_residual"] == pytest.approx(abs(m), rel=1e-14)
+        assert segment["geodesic_residual"] == pytest.approx(math.sqrt(q * (4.0 - q)), rel=1e-14)
+        want = abs(plate["delta"]) * math.sqrt(q - m * m)
+        assert segment["length"] == pytest.approx(want, rel=1e-14, abs=1e-323)
+        state = propagate(PlateSpec(plate["delta"], plate["chi"]), state)
+    assert payload["segments"][2]["length"] == 0.0
+
+
+SEGMENT_CONFIG = {
+    "input_state": state_payload(0.6, 0.48 + 0.3j, -0.2 + 0.52j),
+    "plates": [{"delta": 0.7, "chi": 0.2}, {"delta": 23.0, "chi": -0.45}, {"delta": 0.0, "chi": 0.1}],
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_geodesic_segments_do_not_depend_on_samples(capsys, tmp_path, fmt):
+    field = '"samples": {},' if fmt == "json" else "samples,{}\n"
+    outputs = set()
+    for samples in (2, 3, 41, 2001):
+        path = write_config(tmp_path, {**SEGMENT_CONFIG, "samples": samples})
+        code, out, err = invoke(capsys, "geodesic", "--config", path, "--format", fmt)
+        assert (code, err) == (0, "")
+        assert out.count(field.format(samples)) == 1
+        outputs.add(out.replace(field.format(samples), field.format("N")))
+    assert len(outputs) == 1
+
+
+def test_geodesic_segment_mode_samples_no_curve(capsys, tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("segment mode sampled a curve")
+
+    monkeypatch.setattr(biphase.cli, "evolve", refuse)
+    monkeypatch.setattr(biphase.state_space, "curve_velocity", refuse)
+    payload = run_json(capsys, tmp_path, "geodesic", SEGMENT_CONFIG)
+    assert [segment["plate_index"] for segment in payload["segments"]] == [0, 1, 2]
+    # the curve emit_curve adds is the one sampled path left
+    path = write_config(tmp_path, {**SEGMENT_CONFIG, "emit_curve": True})
+    with pytest.raises(AssertionError, match="sampled a curve"):
+        main(["geodesic", "--config", path])
+
+
+@pytest.mark.parametrize("command", ["run", "eigen", "geodesic"])
+@pytest.mark.parametrize("plate", [{"delta": 1e308, "chi": 0.2}, {"delta": 0.3, "chi": 1e308}])
+def test_plate_parameters_whose_double_overflows_exit_3(capsys, tmp_path, command, plate):
+    path = write_config(tmp_path, {**ERR_BASES[command], "plates": [plate]})
+    code, out, err = invoke(capsys, command, "--config", path)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: plate parameters must be at most") and err.count("\n") == 1
+
+
+def test_a_segment_length_at_the_plate_bound_is_finite_or_refused(capsys, tmp_path):
+    bound = MAX_PLATE_PARAMETER
+    # at chi = 0 the state (1, 0, 0) has m = 0 and q = 4 exactly: the largest double
+    config = {"input_state": state_payload(1, 0, 0), "plates": [{"delta": -bound, "chi": 0.0}]}
+    (segment,) = run_json(capsys, tmp_path, "geodesic", config)["segments"]
+    assert segment["length"] == sys.float_info.max
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        amps = rng.normal(size=3) + 1j * rng.normal(size=3)
+        plates = [{"delta": bound, "chi": float(rng.uniform(-PI, PI))}]
+        path = write_config(tmp_path, {"input_state": state_payload(*amps), "plates": plates})
+        code, out, err = invoke(capsys, "geodesic", "--config", path)
+        if code == 0:
+            assert math.isfinite(json.loads(out)["segments"][0]["length"])
+        else:
+            assert (code, out) == (3, "") and "length overflows" in err
+    # a second moment rounded far enough above 4 would carry the length past the largest double
+    with pytest.raises(NumericError, match="overflows"):
+        _segment_geometry(bound, 0.0, math.nextafter(2.0, 3.0) ** 2)
 
 
 def test_degrees_toggle_matches_radians(capsys, tmp_path):

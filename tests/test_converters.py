@@ -51,6 +51,19 @@ def test_plate_spec_rejects_non_finite_parameters():
         PlateSpec(0.0, math.inf)
 
 
+def test_plate_spec_bounds_its_parameters_so_that_their_doubles_stay_finite():
+    bound = converters.MAX_PLATE_PARAMETER
+    assert math.isfinite(2.0 * bound) and math.isinf(2.0 * math.nextafter(bound, math.inf))
+    edge = PlateSpec(-bound, bound)
+    # the extreme plate still propagates and decomposes without overflow
+    state = propagate(edge, random_state(np.random.default_rng(3)))
+    assert np.all(np.isfinite(state.amplitudes))
+    assert all(cmath.isfinite(value) for value in plate_eigen(edge).values)
+    for delta, chi in ((1e308, 0.2), (0.3, -1e308), (math.nextafter(bound, math.inf), 0.0)):
+        with pytest.raises(UsageError, match="at most"):
+            PlateSpec(delta, chi)
+
+
 def test_plate_coefficients_frozen_point():
     pair = plate_coefficients(PlateSpec(math.pi / 3.0, math.pi / 12.0))
     assert pair.t == pytest.approx(0.5 + 0.75j, abs=1e-15)

@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from biphase import (
     Basis,
     Curve,
     DegenerateRayError,
     GeodesicScenario,
+    NumericError,
     PlateSpec,
     StateVector,
     UsageError,
@@ -31,7 +34,7 @@ from biphase import (
     two_level_fringe,
     two_level_scenario,
 )
-from conftest import random_state
+from conftest import plate_moments, random_state
 
 HALF_ANGLE = GeodesicScenario(d1=math.sqrt(3.0) / 2.0, d2=0.5, smax=math.pi / 4.0)
 
@@ -112,6 +115,57 @@ def test_geodesic_residual_flags_latitude_circles():
         axis=1,
     ).astype(complex)
     assert geodesic_residual(Curve(s, amps, Basis.PMZ)) > 1e-2
+
+
+components = st.floats(-1.0, 1.0, allow_nan=False)
+
+
+@settings(max_examples=50)
+@given(
+    st.lists(components, min_size=6, max_size=6),
+    st.floats(0.05, 3.0),
+    st.sampled_from([1.0, -1.0]),
+    st.floats(-math.pi, math.pi),
+    st.sampled_from([401, 2001]),
+)
+# eigenvectors of H(0) for 2 (no length) and for 0 (a constant curve)
+@example([1.0, 1.0, 0.0, 0.0, 0.0, 0.0], 3.0, -1.0, 0.0, 401)
+@example([0.0, 0.0, 1.0, 0.0, 0.0, 0.0], 0.05, 1.0, 0.0, 2001)
+def test_functionals_of_a_plate_curve_converge_to_the_closed_forms(parts, size, sign, chi, n):
+    # psi(d) = exp(i d H) psi0 has constant m and q: length |delta| sqrt(q - m^2),
+    # horizontality |m| and geodesic residual sqrt(q (4 - q)).  Central and
+    # edge differences of a curve whose k-th derivative is at most 2^k err by
+    # at most (8/3) h^2 in the velocity, which bounds the three errors below;
+    # the second difference adds rounding of about eps / h^2.
+    raw = np.array(parts[:3]) + 1j * np.array(parts[3:])
+    if np.linalg.norm(raw) < 0.1:
+        raw = np.array([1.0, 0.5j, -0.25])
+    state = StateVector.normalized(raw, Basis.PMZ)
+    delta = sign * size
+    curve = evolve(PlateSpec(delta, chi), state, n)
+    h = size / (n - 1)
+    m, q = plate_moments(state, chi)
+    variance = max(0.0, q - m * m)
+    assert abs(horizontality_residual(curve) - abs(m)) <= 3.0 * h**2
+    eps = np.finfo(float).eps
+    assert abs(geodesic_residual(curve) - math.sqrt(max(0.0, q * (4.0 - q)))) <= 7.0 * h**2 + 8.0 * eps / h**2
+    # the integrand sqrt(q - m^2) errs by at most min(sqrt(e), e / sqrt(q - m^2)), e = 22 h^2
+    rate_error = min(math.sqrt(22.0) * h, 22.0 * h**2 / math.sqrt(variance) if variance else math.inf)
+    assert abs(curve_length(curve) - size * math.sqrt(variance)) <= size * rate_error
+
+
+def test_geodesic_residual_refuses_a_step_whose_square_underflows():
+    # 401 samples 2.5e-303 apart
+    curve = evolve(PlateSpec(1e-300, 0.2), pmz(0.6, 0.48 + 0.3j, -0.2 + 0.52j), 401)
+    with pytest.raises(NumericError, match="underflows"):
+        geodesic_residual(curve)
+
+
+def test_geodesic_residual_refuses_a_step_whose_square_overflows():
+    # 2001 samples 4e304 apart
+    curve = evolve(PlateSpec(8e307, 0.2), pmz(0.6, 0.48 + 0.3j, -0.2 + 0.52j), 2001)
+    with pytest.raises(NumericError, match="overflows"):
+        geodesic_residual(curve)
 
 
 def test_two_level_orbit_is_a_great_circle_of_the_sphere():
