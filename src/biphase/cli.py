@@ -269,12 +269,15 @@ def _evaluate(
     columns.extend(_column([spec]) for spec in tail)
     rows = state.amplitudes[None, :]
     states, moments, phases, dynamical = [rows], [], [], np.zeros(1)
-    for basis, generator, thickness in columns:
-        moments.append(_moments(generator, rows))
-        phases.append(thickness * moments[-1][0])
-        dynamical = dynamical + phases[-1]
-        rows = _propagate_rows(basis, thickness, rows)
-        states.append(rows)
+    # plates near the parameter bound can add up to an infinite phase, which
+    # _phase_reading refuses
+    with np.errstate(over="ignore"):
+        for basis, generator, thickness in columns:
+            moments.append(_moments(generator, rows))
+            phases.append(thickness * moments[-1][0])
+            dynamical = dynamical + phases[-1]
+            rows = _propagate_rows(basis, thickness, rows)
+            states.append(rows)
     return _Chain(states, moments, phases, dynamical)
 
 
@@ -323,8 +326,11 @@ def _phase_reading(z: complex, dynamical: float, *, null_if_indeterminate: bool 
     """The phases and visibility of a path whose endpoints overlap as z, given its dynamical phase.
 
     An indeterminate Pancharatnam phase raises, or with ``null_if_indeterminate``
-    leaves it and the geometric phase null.
+    leaves it and the geometric phase null.  A dynamical phase that
+    overflows, as the sum over plates near the parameter bound can, raises.
     """
+    if not math.isfinite(dynamical):
+        raise NumericError(f"the dynamical phase overflows: {dynamical!r}")
     try:
         pan = _overlap_phase(z)
     except IndeterminatePhaseError:
@@ -369,6 +375,8 @@ def _curve_records(segments: Sequence[Curve]) -> list[list]:
                 [offset + float(curve.s[i]) - base, _amplitude_pairs(curve.amplitudes[i])]
             )
         offset += float(curve.s[-1]) - base
+        if not math.isfinite(offset):
+            raise NumericError(f"the emitted curve's parameter overflows: {offset!r}")
     return records
 
 
@@ -454,6 +462,8 @@ def _parse_sweep_grid(config: dict, plates: Sequence[PlateSpec], scale: float) -
     count = _as_int(data["count"], "sweep.count", minimum=2)
     start = _as_number(data.get("start"), "sweep.start") * scale
     stop = _as_number(data.get("stop"), "sweep.stop") * scale
+    if not math.isfinite(stop - start):
+        _fail("sweep.stop - sweep.start must be finite")
     index = _as_int(data.get("plate_index", 0), "sweep.plate_index")
     if not plates:
         _fail("sweep needs at least one plate")

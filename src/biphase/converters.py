@@ -314,8 +314,19 @@ def _pair_order(values: np.ndarray, vectors: np.ndarray) -> list[int]:
 
 
 def _eigensystem(values: np.ndarray, vectors: np.ndarray, basis: Basis) -> EigenSystem:
+    """Pair the eigenvalues with the columns of ``vectors`` in ``_pair_order``.
+
+    Every caller passes finite orthonormal columns: the identity, the real
+    eigenbasis V(chi), Sym^2 of an orthonormal 2x2 pair taken through the
+    orthogonal A, or the QR factor of a finite matrix, each then multiplied
+    by unit phases.  So each column is unit within a few eps, far inside
+    ``NORM_TOL``, and becomes a state without the public checks.
+    """
     return EigenSystem(
-        tuple((complex(values[k]), StateVector(vectors[:, k], basis)) for k in _pair_order(values, vectors))
+        tuple(
+            (complex(values[k]), StateVector._trusted(vectors[:, k].astype(complex), basis))
+            for k in _pair_order(values, vectors)
+        )
     )
 
 
@@ -399,7 +410,7 @@ def eigen(u: Unitary3) -> EigenSystem:
     vectors = np.linalg.qr(raw)[0]
     _fix_phases(vectors)
     residuals = np.linalg.norm(m @ vectors - vectors * values[None, :], axis=0)
-    if float(residuals.max()) > EIGEN_RESIDUAL_TOL:
+    if not float(residuals.max()) <= EIGEN_RESIDUAL_TOL:  # NaN fails too
         raise ConvergenceError(f"eigen residual {residuals.max()!r} above tolerance")
     return _eigensystem(values, vectors, u.basis)
 

@@ -29,6 +29,7 @@ from .state_space import (
     Basis,
     Curve,
     StateVector,
+    _ROUNDING,
     _uniform_step,
     gauge_transform,
     inner,
@@ -65,37 +66,62 @@ def geodesic_between(a: StateVector, b: StateVector, n: int) -> Curve:
     """Sample the geodesic from a to the re-gauged b on n uniform points.
 
     Orthogonal endpoints are fine (quarter circle, s0 = pi/2); only a pair
-    on one common ray is rejected.
+    on one common ray is rejected.  The curve is built without the public
+    checks, which it passes by construction: s0 = arccos|<a|b>| is at least
+    about ``DEGENERACY_TOL``, so ``np.linspace`` steps are far above the
+    spacing of doubles and strictly increasing, and cos, sin and the
+    endpoint states are finite.  A row cos(s) a + sin(s) u has
+    |norm^2 - 1| at most max(|a|^2 - 1, |u|^2 - 1) + |sin 2s| |Re<a|u>|,
+    plus rounding, and |sin 2s| <= 2 s0; a bound above ``NORM_TOL`` (from
+    endpoints at the edge of it) leaves the rows to the public checks.
     """
     if n < 2:
         raise UsageError("a sampled curve needs at least 2 points")
     start, tangent, s0 = geodesic_frame(a, b)
     s = np.linspace(0.0, s0, n)
-    amps = np.cos(s)[:, None] * start.amplitudes + np.sin(s)[:, None] * tangent.amplitudes
-    return Curve(s, amps, a.basis)
+    # real cos and sin times the real views give the bits of the complex products
+    p, u = start.amplitudes.view(float), tangent.amplitudes.view(float)
+    rows = np.cos(s)[:, None] * p + np.sin(s)[:, None] * u
+    defect = max(abs(float(p @ p) - 1.0), abs(float(u @ u) - 1.0)) + min(1.0, 2.0 * s0) * abs(float(p @ u))
+    return Curve._trusted(s, rows.view(complex), a.basis, defect + _ROUNDING)
+
+
+def _real_rows(x: np.ndarray) -> np.ndarray:
+    """The real view of complex rows (or of complex numbers, one per row), real and imaginary parts side by side."""
+    return x.view(float).reshape(x.shape[0], -1)
+
+
+def _sum_squares(rows: np.ndarray) -> np.ndarray:
+    """Sum of squares of each real row: a squared norm, with no complex modulus."""
+    return np.einsum("ij,ij->i", rows, rows)
 
 
 def geodesic_residual(curve: Curve) -> float:
     """Max norm of d2psi/ds2 + <dpsi|dpsi> psi over interior samples.
 
-    Both derivatives are central differences on the curve's own grid, so a
-    true geodesic leaves a residual of order step^2 only.
+    The first derivative is the curve's shared velocity (``curve_velocity``),
+    which on a grid of equal steps h is the central difference
+    (psi_{i+1} - psi_{i-1}) / 2h inside; the second is the central
+    difference (psi_{i-1} - 2 psi_i + psi_{i+1}) / h^2.  Both, the squared
+    speed and the squared norms are formed on the real view of the
+    amplitudes, as sums of squares.  A true geodesic leaves a residual of
+    order step^2 only.
     """
     if len(curve) < 5:
         raise UsageError("the residual check needs at least 5 samples")
     h = curve._step
     if h is None:
         raise UsageError("samples must be uniformly spaced")
-    if h < MIN_PRODUCT_STEP:
-        raise NumericError(f"step {h!r} is too small for second differences: its square underflows")
+    if curve._min_step < MIN_PRODUCT_STEP:
+        raise NumericError(
+            f"step {curve._min_step!r} is too small for second differences: its square underflows"
+        )
     if math.isinf(h * h):
         raise NumericError(f"step {h!r} is too large for second differences: its square overflows")
-    amps = curve.amplitudes
-    acc = (amps[:-2] - 2.0 * amps[1:-1] + amps[2:]) / h**2
-    vel = (amps[2:] - amps[:-2]) / (2.0 * h)
-    speed_sq = np.einsum("ij,ij->i", np.conj(vel), vel).real
-    residual = acc + speed_sq[:, None] * amps[1:-1]
-    return float(np.max(np.linalg.norm(residual, axis=1)))
+    f = _real_rows(curve.amplitudes)
+    speed_sq = _sum_squares(_real_rows(curve._velocity)[1:-1])
+    acc = (f[:-2] - 2.0 * f[1:-1] + f[2:]) / h**2
+    return math.sqrt(float(np.max(_sum_squares(acc + speed_sq[:, None] * f[1:-1]))))
 
 
 def _squarable_derivatives(curve: Curve) -> tuple[np.ndarray, np.ndarray]:
@@ -116,8 +142,12 @@ def _squarable_derivatives(curve: Curve) -> tuple[np.ndarray, np.ndarray]:
 
 
 def horizontality_residual(curve: Curve) -> float:
-    """Max |<psi|dpsi/ds>| over the curve, via finite differences."""
-    return float(np.max(np.abs(_squarable_derivatives(curve)[1])))
+    """Max |<psi|dpsi/ds>| over the curve, via finite differences.
+
+    The modulus is the ``hypot`` of the real and imaginary parts.
+    """
+    vertical = _squarable_derivatives(curve)[1]
+    return float(np.max(np.hypot(vertical.real, vertical.imag)))
 
 
 def parallel_lift(curve: Curve) -> Curve:
@@ -141,13 +171,13 @@ def curve_length(curve: Curve) -> float:
     """Ray-space length: quadrature of sqrt(<dpsi|dpsi> - |<psi|dpsi>|^2).
 
     The subtraction removes the vertical (pure-gauge) part of the velocity,
-    so the length is gauge invariant and vanishes on constant curves.
+    so the length is gauge invariant and vanishes on constant curves.  Both
+    squares are sums of squares over real views.
     """
     if len(curve) < 3:
         raise UsageError("length quadrature needs at least 3 samples")
     vel, vertical = _squarable_derivatives(curve)
-    speed_sq = np.einsum("ij,ij->i", np.conj(vel), vel).real
-    radicand = speed_sq - np.abs(vertical) ** 2
+    radicand = _sum_squares(_real_rows(vel)) - _sum_squares(_real_rows(vertical))
     if float(np.min(radicand)) < -1e-12:
         raise NumericError("length integrand went negative beyond rounding tolerance")
     return _simpson(np.sqrt(np.clip(radicand, 0.0, None)), curve.s, curve._step is not None)

@@ -23,6 +23,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence, Union
 
@@ -34,6 +35,9 @@ from .errors import BasisMismatchError, NumericError, UsageError
 NORM_TOL = 1e-12
 #: Smallest step whose square is a normal double: the square root of 2**-1022.
 MIN_PRODUCT_STEP = 2.0**-511
+#: Bound on how far rounding moves a |c|^2 when a unit row is multiplied by a
+#: unit phase, combined with another by cos and sin, or summed in another order.
+_ROUNDING = 16.0 * sys.float_info.epsilon
 
 
 class Basis(enum.Enum):
@@ -97,20 +101,44 @@ class StateVector:
         object.__setattr__(self, "amplitudes", amps)
 
     @classmethod
+    def _trusted(cls, amplitudes: np.ndarray, basis: Basis) -> "StateVector":
+        """A state from a fresh complex triple that passes every public check by construction.
+
+        The caller owns ``amplitudes``, which this marks read-only, and says
+        why they are finite and unit within a few eps.
+        """
+        amplitudes.flags.writeable = False
+        state = object.__new__(cls)
+        object.__setattr__(state, "amplitudes", amplitudes)
+        object.__setattr__(state, "basis", basis)
+        return state
+
+    @classmethod
     def normalized(cls, amplitudes, basis: Basis) -> "StateVector":
         """Build a state from an arbitrary nonzero amplitude triple.
 
         Amplitudes already unit within ``NORM_TOL`` are kept bit-exact so a
-        serialized state round-trips without perturbation.
+        serialized state round-trips without perturbation.  A triple whose
+        norm overflows, or falls below 1e-15, is first divided by its largest
+        real or imaginary part, so every nonzero finite triple is a direction,
+        subnormal ones included.
         """
         amps = np.asarray(amplitudes, dtype=complex)
         if amps.shape != (3,):
             raise UsageError(f"state needs exactly 3 amplitudes, got shape {amps.shape}")
         if not np.all(np.isfinite(amps.view(float))):
             raise NumericError("state amplitudes must be finite")
-        norm = float(np.linalg.norm(amps))
-        if norm < 1e-15:
-            raise NumericError("cannot normalize a zero amplitude triple")
+        with np.errstate(over="ignore"):
+            norm = float(np.linalg.norm(amps))
+        if not 1e-15 <= norm < math.inf:
+            parts = np.ascontiguousarray(amps).view(float)
+            largest = float(np.max(np.abs(parts)))
+            if largest == 0.0:
+                raise NumericError("cannot normalize a zero amplitude triple")
+            # real division: complex division forms 1 / largest, which
+            # overflows for a subnormal one
+            amps = (parts / largest).view(complex)
+            norm = float(np.linalg.norm(amps))
         if abs(norm * norm - 1.0) > NORM_TOL:
             amps = amps / norm
         return cls(amps, basis)
@@ -167,7 +195,9 @@ class Curve:
 
     The derivative data that the finite-difference functionals share (the
     velocity, the vertical series <psi_i|dpsi_i/ds> and the uniform step)
-    is computed on first use, once per instance, and kept read-only.
+    is computed on first use, once per instance, and kept read-only.  A
+    curve also keeps ``_defect``, a bound on |row norm^2 - 1|: the measured
+    worst row for a public construction, a proven bound for a trusted one.
     """
 
     s: np.ndarray
@@ -176,7 +206,8 @@ class Curve:
 
     def __post_init__(self) -> None:
         s = np.array(self.s, dtype=float)
-        amps = np.array(self.amplitudes, dtype=complex)
+        # row-major, so each row's real and imaginary parts form one real view
+        amps = np.array(self.amplitudes, dtype=complex, order="C")
         if s.ndim != 1 or s.size < 2:
             raise UsageError("a curve needs at least 2 samples")
         if amps.shape != (s.size, 3):
@@ -196,21 +227,57 @@ class Curve:
         amps.flags.writeable = False
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "amplitudes", amps)
+        object.__setattr__(self, "_defect", worst)
+
+    @classmethod
+    def _trusted(cls, s: np.ndarray, amplitudes: np.ndarray, basis: Basis, defect: float) -> "Curve":
+        """A curve from arrays that pass every public check by construction.
+
+        The caller says why ``s`` is finite and strictly increasing, why
+        ``amplitudes`` is finite with one row per sample, and why ``defect``
+        bounds every row's |norm^2 - 1|.  A bound above ``NORM_TOL`` proves
+        nothing, so the public constructor then measures the rows instead.
+        Both arrays are marked read-only; the caller keeps no writeable view.
+        """
+        if defect > NORM_TOL:
+            return cls(s, amplitudes, basis)
+        s.flags.writeable = False
+        amplitudes.flags.writeable = False
+        curve = object.__new__(cls)
+        object.__setattr__(curve, "s", s)
+        object.__setattr__(curve, "amplitudes", amplitudes)
+        object.__setattr__(curve, "basis", basis)
+        object.__setattr__(curve, "_defect", defect)
+        return curve
 
     def __len__(self) -> int:
         return int(self.s.size)
 
     def state(self, index: int) -> StateVector:
-        """Sample at ``index`` as a StateVector (negative indices allowed)."""
-        return StateVector(self.amplitudes[index], self.basis)
+        """Sample at ``index`` as a StateVector (negative indices allowed).
+
+        The row is finite, and its |norm^2 - 1| is at most ``_defect`` in the
+        curve's arithmetic; the state's own arithmetic moves it by at most
+        ``_ROUNDING``.  Within ``NORM_TOL`` the row passes the public check
+        and is taken as it is.
+        """
+        row = self.amplitudes[index]
+        if self._defect + _ROUNDING > NORM_TOL:
+            return StateVector(row, self.basis)
+        return StateVector._trusted(row.copy(), self.basis)
 
     def samples(self) -> Iterator[tuple[float, StateVector]]:
         for i in range(len(self)):
             yield float(self.s[i]), self.state(i)
 
     @functools.cached_property
+    def _step_range(self) -> tuple[float, float]:
+        steps = self.s[1:] - self.s[:-1]
+        return float(steps.min()), float(steps.max())
+
+    @property
     def _min_step(self) -> float:
-        return float((self.s[1:] - self.s[:-1]).min())
+        return self._step_range[0]
 
     @functools.cached_property
     def _step(self) -> float | None:
@@ -251,7 +318,10 @@ def gauge_transform(curve: Curve, alpha: Union[Callable[[float], float], Sequenc
 
     ``alpha`` is either a real function of the curve parameter or a
     precomputed array with one value per sample.  Rays are untouched; only
-    the representative phases move.
+    the representative phases move.  The output is built without the
+    public checks: it keeps the curve's finite, strictly increasing grid,
+    finite unit phases times finite rows are finite, and a row's
+    |norm^2 - 1| moves by at most one rounding, ``_ROUNDING``.
     """
     if callable(alpha):
         values = np.array([float(alpha(t)) for t in curve.s], dtype=float)
@@ -262,7 +332,7 @@ def gauge_transform(curve: Curve, alpha: Union[Callable[[float], float], Sequenc
     if not np.all(np.isfinite(values)):
         raise NumericError("gauge angles must be finite at every sample")
     phased = np.exp(1j * values)[:, None] * curve.amplitudes
-    return Curve(curve.s, phased, curve.basis)
+    return Curve._trusted(curve.s, phased, curve.basis, curve._defect + _ROUNDING)
 
 
 def _uniform_step(x: np.ndarray) -> float | None:
@@ -288,16 +358,42 @@ def curve_velocity(curve: Curve) -> np.ndarray:
 
     Central differences at interior samples and second-order one-sided
     stencils at the ends, so the result is O(step^2) accurate on smooth
-    curves.  Needs at least 3 samples.  The stencil weights divide by
-    products of two steps, which underflow for steps below
-    ``MIN_PRODUCT_STEP``; such a grid is differentiated against the unit
-    interval (s - s_0) / span and the result divided by the span.
+    curves.  Needs at least 3 samples.  The stencil follows the grid:
+
+    * a grid whose steps agree to 1e-9 relative (largest - smallest at most
+      1e-9 smallest), none below ``MIN_PRODUCT_STEP``, takes the uniform
+      stencil of its first step h on the real view of the amplitudes:
+      (psi_{i+1} - psi_{i-1}) / 2h inside, and (-3 psi_0 + 4 psi_1 - psi_2) / 2h
+      and its mirror image at the ends, as ``np.gradient`` forms them for a
+      scalar spacing.  Steps within d of h move the result from the
+      non-uniform stencil's by at most 4 (d / h^2) max|psi_{i+1} - psi_i|,
+      to first order in d / h, plus rounding: at most about 4e-9 of the
+      largest difference quotient.  Every such grid passes
+      ``_uniform_step``, whose relative term this is, so ``_simpson`` and
+      ``geodesic_residual`` read it as uniform too.  The converse fails for
+      small steps, which that test's absolute 1e-12 term lets differ by far
+      more than the stencil can absorb;
+    * any other grid takes ``np.gradient``'s non-uniform stencil;
+    * a grid with a step below ``MIN_PRODUCT_STEP``, where the non-uniform
+      weights divide by products of steps that underflow, is differentiated
+      against the unit interval (s - s_0) / span and the result divided by
+      the span.
     """
     if len(curve) < 3:
         raise UsageError("derivatives need at least 3 samples")
     s = curve.s
-    if curve._min_step >= MIN_PRODUCT_STEP:
-        return np.gradient(curve.amplitudes, s, axis=0, edge_order=2)
+    smallest, largest = curve._step_range
+    if smallest >= MIN_PRODUCT_STEP:
+        if largest - smallest > 1e-9 * smallest:
+            return np.gradient(curve.amplitudes, s, axis=0, edge_order=2)
+        h = float(s[1] - s[0])
+        f = curve.amplitudes.view(float)
+        velocity = np.empty_like(f)
+        np.subtract(f[2:], f[:-2], out=velocity[1:-1])
+        velocity[1:-1] /= 2.0 * h
+        velocity[0] = -1.5 / h * f[0] + 2.0 / h * f[1] + -0.5 / h * f[2]
+        velocity[-1] = 0.5 / h * f[-3] + -2.0 / h * f[-2] + 1.5 / h * f[-1]
+        return velocity.view(complex)
     span = s[-1] - s[0]
     velocity = np.gradient(curve.amplitudes, (s - s[0]) / span, axis=0, edge_order=2)
     # divide the real and imaginary parts: complex division forms 1 / span,

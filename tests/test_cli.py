@@ -263,6 +263,12 @@ CONFIG_ERRORS = [
     (("run", "sweep"), {"sweep": {**ERR_GRID, "count": 1}}, (), "sweep.count must be at least 2"),
     (("run", "sweep"), {"sweep": edited(ERR_GRID, start=DROP)}, (), "sweep.start must be a number"),
     (("run", "sweep"), {"sweep": {**ERR_GRID, "stop": math.nan}}, (), "sweep.stop must be finite"),
+    (
+        ("run", "sweep"),
+        {"sweep": {**ERR_GRID, "start": -1e308, "stop": 1e308}},
+        (),
+        "sweep.stop - sweep.start must be finite",
+    ),
     (("run", "sweep"), {"sweep": {**ERR_GRID, "plate_index": "0"}}, (), "sweep.plate_index must be an integer"),
     (("sweep",), {"plates": []}, (), "sweep needs at least one plate"),
     (("sweep",), {"plates": DROP}, (), "sweep needs at least one plate"),
@@ -902,6 +908,33 @@ def test_zero_norm_input_exits_3(capsys, tmp_path):
     path = write_config(tmp_path, config)
     code, _, err = invoke(capsys, "run", "--config", path)
     assert code == 3
+
+
+@pytest.mark.parametrize("size", [1e308, 1e-200, 5e-324])
+def test_input_states_whose_norm_overflows_or_underflows_run(capsys, tmp_path, size):
+    config = {"input_state": state_payload(size, size, 0), "plates": [{"delta": 0.3, "chi": 0.2}]}
+    amplitudes = run_json(capsys, tmp_path, "run", config)["input_state"]["amplitudes"]
+    assert np.allclose(amplitudes, [[S, 0.0], [S, 0.0], [0.0, 0.0]], rtol=0.0, atol=1e-15)
+
+
+def test_a_total_dynamical_phase_that_overflows_exits_3(capsys, tmp_path):
+    # m = 2 for (1, 1, 0)/sqrt2 at chi = 0, so each plate adds 1.6e308
+    config = {"input_state": state_payload(S, S, 0), "plates": [{"delta": 8e307, "chi": 0.0}] * 2}
+    path = write_config(tmp_path, config)
+    assert invoke(capsys, "run", "--config", path) == (3, "", "error: the dynamical phase overflows: inf\n")
+
+
+def test_an_emitted_curve_whose_parameter_overflows_exits_3(capsys, tmp_path):
+    # three plates of 8e307 take the emitted curve's parameter past the largest double
+    config = {
+        "input_state": state_payload(0.6, 0.48 + 0.3j, -0.2 + 0.52j),
+        "plates": [{"delta": 8e307, "chi": 0.2}] * 3,
+        "samples": 3,
+        "emit_curve": True,
+    }
+    path = write_config(tmp_path, config)
+    code, out, err = invoke(capsys, "geodesic", "--config", path)
+    assert (code, out, err) == (3, "", "error: the emitted curve's parameter overflows: inf\n")
 
 
 def test_eigen_command_reports_each_plate_and_the_composite(capsys, tmp_path):

@@ -1,8 +1,9 @@
 """The derivative data a Curve shares among its finite-difference functionals.
 
-Each functional must return exactly what it returned when it differentiated
+Each functional must return exactly what it returns when it differentiates
 the curve itself, so the references below recompute everything from
-``np.gradient``, ``np.einsum`` and ``np.allclose``.
+``np.gradient``, ``np.einsum``, ``np.hypot`` and ``np.allclose``, in the
+same real arithmetic.
 """
 
 import math
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import biphase
 from biphase import (
     Basis,
     Curve,
@@ -37,8 +39,12 @@ from conftest import random_state
 
 
 def ref_velocity(s, amps):
-    if np.diff(s).min() >= MIN_PRODUCT_STEP:
-        velocity = np.gradient(amps, s, axis=0, edge_order=2)
+    steps = np.diff(s)
+    if steps.min() >= MIN_PRODUCT_STEP:
+        if steps.max() - steps.min() <= 1e-9 * steps.min():
+            velocity = np.gradient(amps.view(float), float(steps[0]), axis=0, edge_order=2).view(complex)
+        else:
+            velocity = np.gradient(amps, s, axis=0, edge_order=2)
     else:
         span = s[-1] - s[0]
         velocity = np.gradient(amps, (s - s[0]) / span, axis=0, edge_order=2)
@@ -87,19 +93,27 @@ def ref_parallel_lift(s, amps):
     return np.exp(1j * alpha)[:, None] * amps
 
 
+def real_rows(x):
+    return x.view(float).reshape(x.shape[0], -1)
+
+
+def sum_squares(rows):
+    return np.einsum("ij,ij->i", rows, rows)
+
+
 def ref_horizontality(s, amps):
     if np.diff(s).min() < MIN_PRODUCT_STEP:
         raise NumericError("step too small")
-    return float(np.max(np.abs(ref_vertical(s, amps))))
+    vertical = ref_vertical(s, amps)
+    return float(np.max(np.hypot(vertical.real, vertical.imag)))
 
 
 def ref_curve_length(s, amps):
     if np.diff(s).min() < MIN_PRODUCT_STEP:
         raise NumericError("step too small")
     vel = ref_velocity(s, amps)
-    speed_sq = np.einsum("ij,ij->i", np.conj(vel), vel).real
     vertical = np.einsum("ij,ij->i", np.conj(amps), vel)
-    radicand = speed_sq - np.abs(vertical) ** 2
+    radicand = sum_squares(real_rows(vel)) - sum_squares(real_rows(vertical))
     if float(np.min(radicand)) < -1e-12:
         raise NumericError("negative radicand")
     return ref_simpson(np.sqrt(np.clip(radicand, 0.0, None)), s)
@@ -111,12 +125,12 @@ def ref_geodesic_residual(s, amps):
     h = ref_uniform_step(s)
     if h is None:
         raise UsageError("not uniform")
-    if h < MIN_PRODUCT_STEP:
+    if np.diff(s).min() < MIN_PRODUCT_STEP:
         raise NumericError("step too small")
-    acc = (amps[:-2] - 2.0 * amps[1:-1] + amps[2:]) / h**2
-    vel = (amps[2:] - amps[:-2]) / (2.0 * h)
-    speed_sq = np.einsum("ij,ij->i", np.conj(vel), vel).real
-    return float(np.max(np.linalg.norm(acc + speed_sq[:, None] * amps[1:-1], axis=1)))
+    f = real_rows(amps)
+    speed_sq = sum_squares(real_rows(ref_velocity(s, amps))[1:-1])
+    acc = (f[:-2] - 2.0 * f[1:-1] + f[2:]) / h**2
+    return math.sqrt(float(np.max(sum_squares(acc + speed_sq[:, None] * f[1:-1]))))
 
 
 CONSUMERS = [
@@ -191,17 +205,18 @@ def test_one_gradient_serves_every_functional_of_a_curve(monkeypatch, rng):
         lambda t: 0.3 * math.sin(2.0 * t),
     )
     calls = []
-    gradient = np.gradient
+    velocity = biphase.state_space.curve_velocity
 
     def counting(*args, **kwargs):
         calls.append(1)
-        return gradient(*args, **kwargs)
+        return velocity(*args, **kwargs)
 
-    monkeypatch.setattr(np, "gradient", counting)
+    monkeypatch.setattr(biphase.state_space, "curve_velocity", counting)
     geometric_phase(curve)
     parallel_lift(curve)
     curve_length(curve)
     horizontality_residual(curve)
+    geodesic_residual(curve)
     assert len(calls) == 1
 
 
@@ -274,6 +289,53 @@ def test_a_quadrature_that_overflows_is_a_typed_error(function, message):
         assert np.all(np.isfinite(curve._velocity))
         with pytest.raises(NumericError, match=message):
             function(curve)
+
+
+# -- the uniform stencil against np.gradient's non-uniform one --------------
+
+
+@given(
+    st.integers(3, 60),
+    st.sampled_from(["uniform", "perturbed", "tiny"]),
+    st.floats(-15.0, -2.0),
+    st.floats(0.1, 4.0),
+    st.integers(0, 2**32 - 1),
+)
+def test_uniform_stencil_stays_within_its_bound_of_np_gradient(n, kind, noise, omega, seed):
+    rng = np.random.default_rng(seed)
+    # tiny spans keep every step above MIN_PRODUCT_STEP, where np.gradient
+    # is defined, but the uniformity test's absolute 1e-12 admits any grid
+    span = 10.0 ** rng.uniform(-140.0, -100.0) if kind == "tiny" else 10.0 ** rng.uniform(-3.0, 3.0)
+    t = np.linspace(0.0, 1.0, n)
+    if kind != "uniform":
+        t[1:-1] += rng.uniform(-1.0, 1.0, n - 2) * 10.0**noise / (n - 1)
+    s = span * t
+    a, b = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
+    amps = np.cos(omega * t)[:, None] * a + (np.sin(omega * t) * np.exp(1j * omega * t))[:, None] * b
+    amps /= np.linalg.norm(amps, axis=1)[:, None]
+    curve = Curve(s, amps, Basis.PMZ)
+    assert curve._min_step >= MIN_PRODUCT_STEP
+    gradient = np.gradient(curve.amplitudes, curve.s, axis=0, edge_order=2)
+    velocity = curve_velocity(curve)
+    steps = np.diff(curve.s)
+    h = float(steps[0])
+    d = float(np.max(np.abs(steps - h)))
+    if steps.max() - steps.min() > 1e-9 * steps.min():
+        # includes tiny grids that _uniform_step, with its absolute 1e-12, accepts
+        assert np.array_equal(velocity, gradient)
+        return
+    # d, the largest deviation of a step from h, is then within the relative
+    # term 1e-9 h of _uniform_step's tolerance.  To first order in d / h the
+    # end weights differ by 2 d / h^2 and d / h^2, on differences of at most
+    # D and 2 D: 4 (d / h^2) D.  The test allows twice that and a
+    # second-order term, plus the rounding of weights of about 4 / h on unit
+    # rows.
+    assert d <= 1e-9 * h and curve._step == h
+    f = curve.amplitudes.view(float)
+    moves = float(np.max(np.abs(np.diff(f, axis=0))))
+    eps = np.finfo(float).eps
+    bound = 8.0 * d / h**2 * moves * (1.0 + 4.0 * d / h) + 64.0 * eps / h
+    assert float(np.max(np.abs((velocity - gradient).view(float)))) <= bound
 
 
 # -- the uniform-step test against np.allclose -----------------------------

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,20 +12,28 @@ from biphase import (
     BasisMismatchError,
     Curve,
     NumericError,
+    PlateSpec,
     StateVector,
+    Unitary3,
     UsageError,
     angle_distance,
+    compose,
     curve_velocity,
+    eigen,
     gauge_transform,
+    geodesic_between,
     inner,
     overlap_series,
+    parallel_lift,
+    plate_eigen,
     principal,
+    q_matrix,
     ray_distance,
     to_fock,
     to_pmz,
 )
-from biphase.state_space import NORM_TOL
-from conftest import random_state
+from biphase.state_space import NORM_TOL, _ROUNDING
+from conftest import random_amplitudes, random_state
 
 S = math.sqrt(0.5)
 
@@ -139,6 +148,20 @@ def test_normalized_rescales_and_rejects_zero():
         StateVector.normalized(np.zeros(3, dtype=complex), Basis.PMZ)
 
 
+@pytest.mark.parametrize("size", [1e308, 1e-200, 5e-324])
+def test_normalized_rescales_a_norm_that_overflows_or_underflows(size):
+    # |c| of (size, size, 0) overflows to inf or falls below the 1e-15 floor
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        state = StateVector.normalized(np.array([size, size, 0.0]), Basis.PMZ)
+        assert np.allclose(state.amplitudes, [S, S, 0.0], rtol=0.0, atol=1e-15)
+        single = StateVector.normalized(np.array([0.0, 1j * size, 0.0]), Basis.PMZ)
+        assert np.array_equal(single.amplitudes, [0.0, 1j, 0.0])
+    # a normal-range triple takes the plain division, bit for bit
+    amps = np.array([3.0, 4.0j, 1e-3])
+    assert np.array_equal(StateVector.normalized(amps, Basis.PMZ).amplitudes, amps / np.linalg.norm(amps))
+
+
 def test_inner_conjugates_the_first_argument(rng):
     a = StateVector(np.array([1.0, 0.0, 0.0], dtype=complex), Basis.PMZ)
     b = StateVector(np.array([1.0j, 0.0, 0.0]), Basis.PMZ)
@@ -226,6 +249,13 @@ def test_gauge_transform_callable_and_array_agree():
     assert np.allclose(np.abs(phased_fn.amplitudes), np.abs(curve.amplitudes), atol=1e-15)
 
 
+def test_curve_takes_column_major_amplitudes():
+    amps = np.asfortranarray(great_circle(9).amplitudes)
+    curve = Curve(np.linspace(0.0, 1.0, 9), amps, Basis.PMZ)
+    assert np.array_equal(curve.amplitudes, amps)
+    assert np.allclose(curve_velocity(curve), np.gradient(amps, curve.s, axis=0, edge_order=2), atol=1e-12)
+
+
 def test_gauge_transform_rejects_bad_alpha():
     curve = great_circle(9)
     with pytest.raises(UsageError):
@@ -251,3 +281,79 @@ def test_overlap_series_on_the_great_circle():
     assert series.shape == (100,)
     step = math.pi / 2.0 / 100.0
     assert np.allclose(series, math.cos(step), atol=1e-12)
+
+
+# -- trusted constructions pass the public checks ---------------------------
+
+
+def public_curve(curve):
+    """The curve through the public constructor, which must accept it unchanged."""
+    checked = Curve(curve.s, curve.amplitudes, curve.basis)
+    assert np.array_equal(checked.s, curve.s) and np.array_equal(checked.amplitudes, curve.amplitudes)
+    assert not curve.s.flags.writeable and not curve.amplitudes.flags.writeable
+    # the trusted bound covers the measured worst row
+    assert checked._defect <= curve._defect <= NORM_TOL
+    return checked
+
+
+def public_state(state):
+    checked = StateVector(state.amplitudes, state.basis)
+    assert np.array_equal(checked.amplitudes, state.amplitudes) and checked.basis is state.basis
+    assert state.amplitudes.dtype == complex and not state.amplitudes.flags.writeable
+    return checked
+
+
+@st.composite
+def endpoint_pairs(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = random_state(rng)
+    kind = draw(st.sampled_from(["random", "orthogonal", "near-degenerate"]))
+    if kind == "random":
+        return a, random_state(rng)
+    raw = random_amplitudes(rng)
+    across = raw - np.vdot(a.amplitudes, raw) * a.amplitudes
+    across /= np.linalg.norm(across)
+    if kind == "orthogonal":
+        return a, StateVector.normalized(across, Basis.PMZ)
+    # rays a small angle apart; the chord sqrt(1 - |<a|b>|^2) resolves
+    # angles down to about sqrt(2 eps) = 1.5e-8 only
+    angle = 10.0 ** draw(st.floats(-7.5, -2.0))
+    phase = np.exp(1j * draw(st.floats(-math.pi, math.pi)))
+    return a, StateVector.normalized(phase * (math.cos(angle) * a.amplitudes + math.sin(angle) * across), Basis.PMZ)
+
+
+@given(endpoint_pairs(), st.sampled_from([3, 5, 41, 2001]), st.integers(0, 2**32 - 1), st.floats(0.0, 30.0))
+def test_trusted_outputs_pass_the_public_constructors(pair, n, seed, size):
+    rng = np.random.default_rng(seed)
+    geodesic = geodesic_between(*pair, n)
+    gauged = gauge_transform(geodesic, size * rng.normal(size=n))
+    curves = [geodesic, gauged]
+    if n >= 3:
+        curves.append(parallel_lift(gauged))
+    for curve in curves:
+        public_curve(curve)
+        for index in (0, -1, int(rng.integers(n))):
+            public_state(curve.state(index))
+    plates = [PlateSpec(float(d), float(c)) for d, c in rng.uniform(-size - 1.0, size + 1.0, (3, 2))]
+    chain = compose([q_matrix(spec) for spec in plates])
+    systems = [plate_eigen(plates[0]), eigen(chain), eigen(Unitary3(chain.matrix, chain.basis))]
+    for system in systems:
+        for state in system.states:
+            public_state(state)
+
+
+def test_a_geodesic_between_endpoints_at_the_norm_tolerance_is_checked():
+    # |a|^2 - 1 = -9.8e-13 leaves the tangent of a ray 2e-9 away with a large
+    # component along a; the rows then miss unit norm by about 1e-9, so the
+    # trusted bound defers to the public check, which refuses them
+    a = StateVector(np.array([1.0 - 4.9e-13, 0.0, 0.0]), Basis.PMZ)
+    b = StateVector.normalized(np.array([math.cos(2e-9), math.sin(2e-9), 0.0]), Basis.PMZ)
+    with pytest.raises(UsageError, match="non-unit sample"):
+        geodesic_between(a, b, 41)
+    # rows within one rounding of the tolerance: states and gauged rows are
+    # measured by the public checks, which accept them
+    x = math.sqrt(1.0 + NORM_TOL - 1e-15)
+    edge = Curve(np.array([0.0, 1.0]), np.array([[x, 0.0, 0.0], [0.0, 0.0, x]]), Basis.PMZ)
+    assert NORM_TOL - _ROUNDING < edge._defect <= NORM_TOL
+    public_state(edge.state(-1))
+    public_curve(gauge_transform(edge, [0.3, -1.2]))
