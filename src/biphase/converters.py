@@ -55,7 +55,7 @@ from .errors import (
     NumericError,
     UsageError,
 )
-from .state_space import BASIS_CHANGE, Basis, Curve, StateVector
+from .state_space import _S, BASIS_CHANGE, Basis, Curve, StateVector
 
 #: Allowed deviation of |t|^2 + |r|^2 from one on g_matrix input.
 COEFFICIENT_TOL = 1e-9
@@ -120,8 +120,10 @@ class Unitary3:
     def _su2(cls, a: complex, b: complex, build) -> "Unitary3":
         """A plate-basis converter carrying the pair (a, b); ``build()`` returns its matrix."""
         u = object.__new__(cls)
-        for name, value in (("basis", Basis.PMZ), ("_matrix", None), ("_pair", (a, b)), ("_build", build)):
-            object.__setattr__(u, name, value)
+        object.__setattr__(u, "basis", Basis.PMZ)
+        object.__setattr__(u, "_matrix", None)
+        object.__setattr__(u, "_pair", (a, b))
+        object.__setattr__(u, "_build", build)
         return u
 
     def __setattr__(self, name, value):
@@ -167,11 +169,16 @@ class EigenSystem:
         return tuple(s for _, s in self.pairs)
 
 
-def plate_coefficients(spec: PlateSpec) -> TransmissionPair:
-    """Transmission and reflection amplitudes of a plate."""
+def _plate_pair(spec: PlateSpec) -> tuple[complex, complex]:
+    """The plate's (t, r) as Python complex numbers."""
     t = complex(math.cos(spec.delta), math.sin(spec.delta) * math.cos(2.0 * spec.chi))
     r = complex(0.0, math.sin(spec.delta) * math.sin(2.0 * spec.chi))
-    return TransmissionPair(t, r)
+    return t, r
+
+
+def plate_coefficients(spec: PlateSpec) -> TransmissionPair:
+    """Transmission and reflection amplitudes of a plate."""
+    return TransmissionPair(*_plate_pair(spec))
 
 
 def _g_entries(t, r) -> np.ndarray:
@@ -250,8 +257,24 @@ def q_matrix(spec: PlateSpec) -> Unitary3:
     It carries the plate's pair (t, r); the matrix is built by ``q_stack``
     on first access.
     """
-    pair = plate_coefficients(spec)
-    return Unitary3._su2(pair.t, pair.r, lambda: q_stack(np.array([spec.delta]), spec.chi)[0])
+    t, r = _plate_pair(spec)
+    return Unitary3._su2(t, r, lambda: q_stack(np.array([spec.delta]), spec.chi)[0])
+
+
+def _sym2_matrix(a: complex, b: complex) -> np.ndarray:
+    """A Sym^2(J) A^T for J = [[a, b], [-conj(b), conj(a)]].
+
+    The entries are those of ``_g_entries``, formed in Python complex
+    arithmetic.
+    """
+    ac, bc = a.conjugate(), b.conjugate()
+    s2 = math.sqrt(2.0)
+    g = np.array([
+        [a * a, s2 * a * b, b * b],
+        [-s2 * a * bc, a * ac - b * bc, s2 * ac * b],
+        [bc * bc, -s2 * ac * bc, ac * ac],
+    ])
+    return BASIS_CHANGE.matrix @ g @ BASIS_CHANGE.inverse
 
 
 def compose(matrices: Sequence[Unitary3]) -> Unitary3:
@@ -276,14 +299,14 @@ def compose(matrices: Sequence[Unitary3]) -> Unitary3:
             a, b = a2 * a - b2 * b.conjugate(), a2 * b + b2 * a.conjugate()
             norm = math.hypot(a.real, a.imag, b.real, b.imag)
             a, b = a / norm, b / norm
-        return Unitary3._su2(a, b, lambda: BASIS_CHANGE.matrix @ _g_entries(a, b) @ BASIS_CHANGE.inverse)
+        return Unitary3._su2(a, b, lambda: _sym2_matrix(a, b))
     total = np.eye(3, dtype=complex)
     for u in matrices:
         total = u.matrix @ total
     return Unitary3(total, basis)
 
 
-def _first_significant(column: np.ndarray) -> int:
+def _first_significant(column) -> int:
     for i, value in enumerate(column):
         if abs(value) > 1e-12:
             return i
@@ -305,16 +328,16 @@ def eigenvalue_arg(value: complex) -> float:
     return math.pi if a <= HALF_TURN_TOL - math.pi else a
 
 
-def _pair_order(values: np.ndarray, vectors: np.ndarray) -> list[int]:
-    """Ascending rounded ``eigenvalue_arg``; only a tie compares the rounded eigenvectors."""
+def _pair_order(values, columns) -> list[int]:
+    """Ascending rounded ``eigenvalue_arg``; only a tie compares the rounded eigenvectors ``columns[k]``."""
     args = [round(eigenvalue_arg(v), 12) for v in values]
     if len(set(args)) == 3:
         return sorted(range(3), key=args.__getitem__)
-    return sorted(range(3), key=lambda k: (args[k], _rounded_components(vectors[:, k])))
+    return sorted(range(3), key=lambda k: (args[k], _rounded_components(columns[k])))
 
 
-def _eigensystem(values: np.ndarray, vectors: np.ndarray, basis: Basis) -> EigenSystem:
-    """Pair the eigenvalues with the columns of ``vectors`` in ``_pair_order``.
+def _eigensystem(values, columns, basis: Basis) -> EigenSystem:
+    """Pair the eigenvalues with the eigenvectors ``columns[k]`` in ``_pair_order``.
 
     Every caller passes finite orthonormal columns: the identity, the real
     eigenbasis V(chi), Sym^2 of an orthonormal 2x2 pair taken through the
@@ -324,18 +347,20 @@ def _eigensystem(values: np.ndarray, vectors: np.ndarray, basis: Basis) -> Eigen
     """
     return EigenSystem(
         tuple(
-            (complex(values[k]), StateVector._trusted(vectors[:, k].astype(complex), basis))
-            for k in _pair_order(values, vectors)
+            (complex(values[k]), StateVector._trusted(np.array(columns[k], dtype=complex), basis))
+            for k in _pair_order(values, columns)
         )
     )
 
 
-def _fix_phases(vectors: np.ndarray) -> None:
-    """Make the first significant component of each column real and positive, in place."""
-    for k in range(3):
-        col = vectors[:, k]
-        lead = col[_first_significant(col)]
-        vectors[:, k] = col * (np.conj(lead) / abs(lead))
+def _phase_fixed(column) -> list[complex]:
+    """The column times the unit phase that makes its first significant component real and positive.
+
+    Python complex arithmetic, so the bits do not follow numpy's SIMD tier.
+    """
+    lead = column[_first_significant(column)]
+    unit = lead.conjugate() / abs(lead)
+    return [c * unit for c in column]
 
 
 def _spin1_eigen(a: complex, b: complex) -> EigenSystem:
@@ -371,15 +396,17 @@ def _spin1_eigen(a: complex, b: complex) -> EigenSystem:
         raise ConvergenceError(f"SU(2) eigen residual {r!r} above tolerance")
     v1, v2 = -q.conjugate(), p.conjugate()
     s2 = math.sqrt(2.0)
-    fock = np.array([
-        [p * p, s2 * p * v1, v1 * v1],
-        [s2 * p * q, p * v2 + q * v1, s2 * v1 * v2],
-        [q * q, s2 * q * v2, v2 * v2],
-    ])
-    vectors = BASIS_CHANGE.matrix @ fock
-    _fix_phases(vectors)
     square = plus * plus
-    return _eigensystem(np.array([square, 1.0, square.conjugate()]), vectors, Basis.PMZ)
+    values = (square, 1.0 + 0.0j, square.conjugate())
+    # the Fock columns Sym^2(u+), u+ v u-, Sym^2(u-), each taken to the plate
+    # basis by A and phase-fixed, all in Python complex arithmetic
+    fock = (
+        (p * p, s2 * p * q, q * q),
+        (s2 * p * v1, p * v2 + q * v1, s2 * q * v2),
+        (v1 * v1, s2 * v1 * v2, v2 * v2),
+    )
+    columns = [_phase_fixed((_S * c0 + _S * c2, _S * c0 - _S * c2, c1)) for c0, c1, c2 in fock]
+    return _eigensystem(values, columns, Basis.PMZ)
 
 
 def eigen(u: Unitary3) -> EigenSystem:
@@ -407,12 +434,12 @@ def eigen(u: Unitary3) -> EigenSystem:
     values, raw = np.linalg.eig(m)
     if float(np.max(np.abs(np.abs(values) - 1.0))) > UNITARITY_TOL:
         raise ConvergenceError("eigenvalues left the unit circle")
-    vectors = np.linalg.qr(raw)[0]
-    _fix_phases(vectors)
+    columns = [_phase_fixed(column) for column in np.linalg.qr(raw)[0].T.tolist()]
+    vectors = np.array(columns).T
     residuals = np.linalg.norm(m @ vectors - vectors * values[None, :], axis=0)
     if not float(residuals.max()) <= EIGEN_RESIDUAL_TOL:  # NaN fails too
         raise ConvergenceError(f"eigen residual {residuals.max()!r} above tolerance")
-    return _eigensystem(values, vectors, u.basis)
+    return _eigensystem(values, columns, u.basis)
 
 
 def _plate_spectrum(spec: PlateSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -438,13 +465,14 @@ def plate_eigen(spec: PlateSpec) -> EigenSystem:
     eigenspace of a plate at delta = k pi/2 the vectors stay the columns of
     V.  Phase convention and pair order are those of ``eigen``.
     """
-    return _eigensystem(*_plate_spectrum(spec), Basis.PMZ)
+    values, vectors = _plate_spectrum(spec)
+    return _eigensystem(values, vectors.T, Basis.PMZ)
 
 
 def _plate_eigenvalues(spec: PlateSpec) -> np.ndarray:
     """The eigenvalues of ``plate_eigen`` in its order, without building eigenvector states."""
     values, vectors = _plate_spectrum(spec)
-    return values[_pair_order(values, vectors)]
+    return values[_pair_order(values, vectors.T)]
 
 
 def _propagate_rows(v: np.ndarray, thickness, amplitudes: np.ndarray) -> np.ndarray:

@@ -15,7 +15,6 @@ geometric phase expressible through tan(theta) = c tan(s) alone.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -30,10 +29,9 @@ from .state_space import (
     Curve,
     StateVector,
     _ROUNDING,
+    _orthogonal_part,
     _uniform_step,
     gauge_transform,
-    inner,
-    ray_distance,
 )
 
 #: Ray separations at or below this give no unique geodesic direction.
@@ -47,19 +45,19 @@ def geodesic_frame(a: StateVector, b: StateVector) -> tuple[StateVector, StateVe
     """Arc data (start, unit tangent, arc length) for the geodesic a -> b.
 
     b is re-gauged so its overlap with a is real non-negative; the returned
-    tangent u is the normalized component of the re-gauged b orthogonal to
-    a, and the arc length is s0 = arccos|<a|b>|.  The curve
-    a cos s + u sin s then lands exactly on the re-gauged b at s0.
+    tangent u is the normalized part w of the re-gauged b orthogonal to a
+    (``_orthogonal_part``), and the arc length is s0 = atan2(|w|, |<a|b>|),
+    accurate to a few ulp at every angle, where arccos|<a|b>| loses half its
+    digits near 0.  The curve a cos s + u sin s then lands exactly on the
+    re-gauged b at s0.  Rays with |w| at or below ``DEGENERACY_TOL`` are
+    refused.
     """
-    z = inner(a, b)
-    gap = ray_distance(a, b)
+    overlap, w, gap = _orthogonal_part(a, b)
     if gap <= DEGENERACY_TOL:
         raise DegenerateRayError("states lie on the same ray; the geodesic direction is undefined")
-    phase = cmath.phase(z) if z != 0 else 0.0
-    regauged = b.amplitudes * cmath.exp(-1j * phase)
-    overlap = abs(z)
-    tangent = StateVector.normalized((regauged - overlap * a.amplitudes) / gap, a.basis)
-    return a, tangent, math.acos(min(1.0, overlap))
+    # w / |w| is finite and unit within a few eps
+    tangent = StateVector._trusted(np.array([c / gap for c in w]), a.basis)
+    return a, tangent, math.atan2(gap, overlap)
 
 
 def geodesic_between(a: StateVector, b: StateVector, n: int) -> Curve:
@@ -67,22 +65,33 @@ def geodesic_between(a: StateVector, b: StateVector, n: int) -> Curve:
 
     Orthogonal endpoints are fine (quarter circle, s0 = pi/2); only a pair
     on one common ray is rejected.  The curve is built without the public
-    checks, which it passes by construction: s0 = arccos|<a|b>| is at least
-    about ``DEGENERACY_TOL``, so ``np.linspace`` steps are far above the
-    spacing of doubles and strictly increasing, and cos, sin and the
-    endpoint states are finite.  A row cos(s) a + sin(s) u has
-    |norm^2 - 1| at most max(|a|^2 - 1, |u|^2 - 1) + |sin 2s| |Re<a|u>|,
-    plus rounding, and |sin 2s| <= 2 s0; a bound above ``NORM_TOL`` (from
-    endpoints at the edge of it) leaves the rows to the public checks.
+    checks, which it passes by construction: s0 is at least about
+    ``DEGENERACY_TOL``, so ``np.linspace`` steps are far above the spacing
+    of doubles and strictly increasing, and cos, sin and the endpoint states
+    are finite.  A row cos(s) a + sin(s) u has |norm^2 - 1| at most
+    max(|a|^2 - 1, |u|^2 - 1) + |sin 2s| |Re<a|u>|, plus rounding, and
+    |sin 2s| <= 2 s0; a bound above ``NORM_TOL`` (from endpoints at the edge
+    of it) leaves the rows to the public checks.
     """
     if n < 2:
         raise UsageError("a sampled curve needs at least 2 points")
     start, tangent, s0 = geodesic_frame(a, b)
     s = np.linspace(0.0, s0, n)
-    # real cos and sin times the real views give the bits of the complex products
-    p, u = start.amplitudes.view(float), tangent.amplitudes.view(float)
-    rows = np.cos(s)[:, None] * p + np.sin(s)[:, None] * u
-    defect = max(abs(float(p @ p) - 1.0), abs(float(u @ u) - 1.0)) + min(1.0, 2.0 * s0) * abs(float(p @ u))
+    cos, sin = np.cos(s), np.sin(s)
+    p, u = start.amplitudes.view(float).tolist(), tangent.amplitudes.view(float).tolist()
+    # one contiguous multiply-add per real column, then one transposing copy:
+    # cos(s) p_k + sin(s) u_k are the bits of the complex products
+    columns = np.empty((6, n))
+    product = np.empty(n)
+    for k in range(6):
+        np.multiply(cos, p[k], out=columns[k])
+        np.multiply(sin, u[k], out=product)
+        columns[k] += product
+    rows = np.ascontiguousarray(columns.T)
+    pp = sum(x * x for x in p)
+    uu = sum(x * x for x in u)
+    pu = sum(x * y for x, y in zip(p, u))
+    defect = max(abs(pp - 1.0), abs(uu - 1.0)) + min(1.0, 2.0 * s0) * abs(pu)
     return Curve._trusted(s, rows.view(complex), a.basis, defect + _ROUNDING)
 
 
@@ -120,8 +129,14 @@ def geodesic_residual(curve: Curve) -> float:
         raise NumericError(f"step {h!r} is too large for second differences: its square overflows")
     f = _real_rows(curve.amplitudes)
     speed_sq = _sum_squares(_real_rows(curve._velocity)[1:-1])
-    acc = (f[:-2] - 2.0 * f[1:-1] + f[2:]) / h**2
-    return math.sqrt(float(np.max(_sum_squares(acc + speed_sq[:, None] * f[1:-1]))))
+    # (f_{i-1} - 2 f_i + f_{i+1}) / h^2 + speed^2 f_i, in place, in that order
+    acc = np.multiply(f[1:-1], 2.0)
+    np.subtract(f[:-2], acc, out=acc)
+    acc += f[2:]
+    acc /= h**2
+    centripetal = np.multiply(speed_sq[:, None], f[1:-1])
+    acc += centripetal
+    return math.sqrt(float(np.max(_sum_squares(acc))))
 
 
 def _squarable_derivatives(curve: Curve) -> tuple[np.ndarray, np.ndarray]:
@@ -180,7 +195,7 @@ def curve_length(curve: Curve) -> float:
     radicand = _sum_squares(_real_rows(vel)) - _sum_squares(_real_rows(vertical))
     if float(np.min(radicand)) < -1e-12:
         raise NumericError("length integrand went negative beyond rounding tolerance")
-    return _simpson(np.sqrt(np.clip(radicand, 0.0, None)), curve.s, curve._step is not None)
+    return _simpson(np.sqrt(np.clip(radicand, 0.0, None)), curve.s, curve._step)
 
 
 @dataclass(frozen=True)
@@ -299,9 +314,10 @@ def _check_waves(delta_grid: np.ndarray | list[float]) -> tuple[float, np.ndarra
         raise UsageError("the delta grid needs at least 5 points")
     if not np.all(np.isfinite(deltas)):
         raise UsageError("the delta grid must be finite")
-    if np.any(np.diff(deltas) <= 0.0):
+    steps = np.diff(deltas)
+    if np.any(steps <= 0.0):
         raise UsageError("the delta grid must be strictly increasing")
-    h = _uniform_step(deltas)
+    h = _uniform_step(deltas, steps)
     if h is None:
         raise UsageError("samples must be uniformly spaced")
     return h, np.exp(2j * deltas).imag, np.sin(2.0 * deltas)

@@ -112,22 +112,20 @@ def _moments(h: np.ndarray, amplitudes: np.ndarray) -> tuple[np.ndarray, np.ndar
     return np.vecdot(amplitudes, h_psi).real, np.vecdot(h_psi, h_psi).real
 
 
-def _simpson(y: np.ndarray, x: np.ndarray, uniform: bool) -> float:
+def _simpson(y: np.ndarray, x: np.ndarray, h: float | None) -> float:
     """Composite Simpson on a uniform grid with an even interval count.
 
     Falls back to the trapezoid rule otherwise, which keeps the quadrature
     at or above the O(step^2) accuracy of the finite-difference integrands
-    it is fed.  ``uniform`` says whether ``x`` is uniform, as the curve's
-    shared step knows.  A sum that overflows, as a finite integrand can on
-    a subnormal span, is refused.
+    it is fed.  ``h`` is the grid's common step, or None when the grid is
+    not uniform, as the curve's shared step knows.  A sum that overflows,
+    as a finite integrand can on a subnormal span, is refused.
     """
     y = np.asarray(y, dtype=float)
     x = np.asarray(x, dtype=float)
-    span = float(x[-1] - x[0])
     intervals = x.size - 1
     with np.errstate(over="ignore", invalid="ignore"):
-        if uniform and intervals >= 2 and intervals % 2 == 0:
-            h = span / intervals
+        if h is not None and intervals >= 2 and intervals % 2 == 0:
             total = float(h / 3.0 * (y[0] + y[-1] + 4.0 * np.sum(y[1:-1:2]) + 2.0 * np.sum(y[2:-2:2])))
         else:
             total = float(np.trapezoid(y, x))
@@ -144,7 +142,7 @@ def dynamical_phase_numeric(curve: Curve) -> float:
     """
     if len(curve) < 3:
         raise UsageError("quadrature needs at least 3 samples")
-    return _simpson(curve._vertical.imag, curve.s, curve._step is not None)
+    return _simpson(curve._vertical.imag, curve.s, curve._step)
 
 
 def geometric_phase(curve: Curve, *, threshold: float = ORTHOGONALITY_TOL) -> PhaseReport:

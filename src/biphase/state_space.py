@@ -20,6 +20,7 @@ with PMZ amplitudes d = A c and Fock amplitudes c = A^T d.
 
 from __future__ import annotations
 
+import cmath
 import enum
 import functools
 import math
@@ -92,9 +93,12 @@ class StateVector:
             raise UsageError(f"state needs exactly 3 amplitudes, got shape {amps.shape}")
         if not isinstance(self.basis, Basis):
             raise UsageError(f"basis must be a Basis member, got {self.basis!r}")
-        if not np.all(np.isfinite(amps.view(float))):
+        # three Python complex numbers cost less to check than numpy calls on a triple
+        x, y, z = amps.tolist()
+        if not (cmath.isfinite(x) and cmath.isfinite(y) and cmath.isfinite(z)):
             raise NumericError("state amplitudes must be finite")
-        norm_sq = float(np.sum(np.abs(amps) ** 2))
+        norm_sq = x.real * x.real + x.imag * x.imag + y.real * y.real + y.imag * y.imag
+        norm_sq += z.real * z.real + z.imag * z.imag
         if abs(norm_sq - 1.0) > NORM_TOL:
             raise UsageError(f"state is not unit norm: |c|^2 = {norm_sq!r}")
         amps.flags.writeable = False
@@ -169,15 +173,38 @@ def inner(a: StateVector, b: StateVector) -> complex:
     return complex(np.vdot(a.amplitudes, b.amplitudes))
 
 
+def _orthogonal_part(a: StateVector, b: StateVector) -> tuple[float, list[complex], float]:
+    """|<a|b>|, the part w = b' - |<a|b>| a of b orthogonal to a, and its norm |w|.
+
+    b' is b re-gauged by conj(z) / |z|, z = <a|b>, so that <a|b'> is real
+    and non-negative; orthogonal states keep b as it is.  For unit rays an
+    angle theta apart |w| = sin(theta) and |<a|b>| = cos(theta).  |w| is
+    formed from the components of w, not as sqrt(1 - |z|^2): rounding of z
+    moves w along a, orthogonal to w itself, so it changes |w| only to
+    second order, and sin(theta) keeps a few ulp of relative accuracy far
+    below the sqrt(eps) that 1 - |z|^2 resolves.  The arithmetic is on
+    Python complex numbers.
+    """
+    _require_same_basis(a, b)
+    x0, x1, x2 = a.amplitudes.tolist()
+    y0, y1, y2 = b.amplitudes.tolist()
+    z = x0.conjugate() * y0 + x1.conjugate() * y1 + x2.conjugate() * y2
+    overlap = abs(z)
+    unit = z.conjugate() / overlap if overlap else 1.0
+    w = [y * unit - overlap * x for x, y in ((x0, y0), (x1, y1), (x2, y2))]
+    gap = math.hypot(w[0].real, w[0].imag, w[1].real, w[1].imag, w[2].real, w[2].imag)
+    return overlap, w, gap
+
+
 def ray_distance(a: StateVector, b: StateVector) -> float:
-    """Fubini-Study chord sqrt(1 - |<a|b>|^2) between the rays of a and b.
+    """Fubini-Study chord sin(theta) = sqrt(1 - |<a|b>|^2) between the rays of a and b.
 
     Gauge invariant: multiplying either state by a unit phase leaves the
-    value unchanged.  Rounding can push |<a|b>| a few ulp above one for
-    identical rays, so the radicand is clipped at zero.
+    value unchanged.  It is the norm of the part of b orthogonal to a
+    (``_orthogonal_part``), which resolves rays far closer than the
+    sqrt(eps) that 1 - |<a|b>|^2 can.
     """
-    overlap = abs(inner(a, b))
-    return math.sqrt(max(0.0, 1.0 - overlap * overlap))
+    return _orthogonal_part(a, b)[2]
 
 
 @dataclass(frozen=True, eq=False)
@@ -271,17 +298,16 @@ class Curve:
             yield float(self.s[i]), self.state(i)
 
     @functools.cached_property
-    def _step_range(self) -> tuple[float, float]:
-        steps = self.s[1:] - self.s[:-1]
-        return float(steps.min()), float(steps.max())
+    def _steps(self) -> np.ndarray:
+        return self.s[1:] - self.s[:-1]
 
-    @property
+    @functools.cached_property
     def _min_step(self) -> float:
-        return self._step_range[0]
+        return float(self._steps.min())
 
     @functools.cached_property
     def _step(self) -> float | None:
-        return _uniform_step(self.s)
+        return _uniform_step(self.s, self._steps)
 
     @functools.cached_property
     def _velocity(self) -> np.ndarray:
@@ -324,31 +350,40 @@ def gauge_transform(curve: Curve, alpha: Union[Callable[[float], float], Sequenc
     |norm^2 - 1| moves by at most one rounding, ``_ROUNDING``.
     """
     if callable(alpha):
-        values = np.array([float(alpha(t)) for t in curve.s], dtype=float)
+        values = np.array([float(alpha(t)) for t in curve.s.tolist()], dtype=float)
     else:
-        values = np.array(alpha, dtype=float)
+        values = np.asarray(alpha, dtype=float)
         if values.shape != curve.s.shape:
             raise UsageError("need exactly one gauge angle per curve sample")
     if not np.all(np.isfinite(values)):
         raise NumericError("gauge angles must be finite at every sample")
-    phased = np.exp(1j * values)[:, None] * curve.amplitudes
+    # exp(i alpha) from its cosine and sine, the bits np.exp(1j * alpha) gives at less cost
+    factor = np.empty(values.shape, dtype=complex)
+    np.cos(values, out=factor.real)
+    np.sin(values, out=factor.imag)
+    phased = factor[:, None] * curve.amplitudes
     return Curve._trusted(curve.s, phased, curve.basis, curve._defect + _ROUNDING)
 
 
-def _uniform_step(x: np.ndarray) -> float | None:
-    """The common step of a sample grid, or None when the grid is not uniform.
+def _uniform_step(x: np.ndarray, steps: np.ndarray) -> float | None:
+    """The common step h = span / (n - 1) of a sample grid, or None when the grid is not uniform.
 
-    A step counts as equal to the first, h, when it is within
-    1e-12 max(1, span) + 1e-9 |h| of it: ``np.allclose``'s test, formed as
-    one maximum.  A span that overflows is refused; there the tolerance
-    itself would be infinite.
+    ``steps`` are the differences x[1:] - x[:-1].  A grid is uniform when
+    every step is within 8 ulp(max|x|) + 1e-9 |h| of h: ``np.allclose``'s
+    test, formed as one maximum.  The first term is the rounding of the
+    coordinates themselves: ``np.linspace`` rounds start + i step and places
+    the last point at stop, which moves its steps from h by up to about
+    2.3 ulp of the largest coordinate in random trials, so its grids pass
+    at every offset and span, while steps that differ beyond that rounding,
+    at any scale, do not.  A span that overflows is refused; there the
+    tolerance itself would be infinite.
     """
-    span = float(x[-1]) - float(x[0])
+    first, last = float(x[0]), float(x[-1])
+    span = last - first
     if not math.isfinite(span):
         raise NumericError(f"grid span {span!r} overflows")
-    steps = x[1:] - x[:-1]
-    h = float(steps[0])
-    if float(np.max(np.abs(steps - h))) > 1e-12 * max(1.0, abs(span)) + 1e-9 * abs(h):
+    h = span / (x.size - 1)
+    if float(np.max(np.abs(steps - h))) > 8.0 * math.ulp(max(abs(first), abs(last))) + 1e-9 * abs(h):
         return None
     return h
 
@@ -360,19 +395,16 @@ def curve_velocity(curve: Curve) -> np.ndarray:
     stencils at the ends, so the result is O(step^2) accurate on smooth
     curves.  Needs at least 3 samples.  The stencil follows the grid:
 
-    * a grid whose steps agree to 1e-9 relative (largest - smallest at most
-      1e-9 smallest), none below ``MIN_PRODUCT_STEP``, takes the uniform
-      stencil of its first step h on the real view of the amplitudes:
-      (psi_{i+1} - psi_{i-1}) / 2h inside, and (-3 psi_0 + 4 psi_1 - psi_2) / 2h
-      and its mirror image at the ends, as ``np.gradient`` forms them for a
-      scalar spacing.  Steps within d of h move the result from the
-      non-uniform stencil's by at most 4 (d / h^2) max|psi_{i+1} - psi_i|,
-      to first order in d / h, plus rounding: at most about 4e-9 of the
-      largest difference quotient.  Every such grid passes
-      ``_uniform_step``, whose relative term this is, so ``_simpson`` and
-      ``geodesic_residual`` read it as uniform too.  The converse fails for
-      small steps, which that test's absolute 1e-12 term lets differ by far
-      more than the stencil can absorb;
+    * a uniform grid (``Curve._step``, the rule ``_simpson`` and
+      ``geodesic_residual`` use too) with no step below ``MIN_PRODUCT_STEP``
+      takes the uniform stencil of its common step h on the real view of
+      the amplitudes: (psi_{i+1} - psi_{i-1}) / 2h inside, and
+      (-3 psi_0 + 4 psi_1 - psi_2) / 2h and its mirror image at the ends, as
+      ``np.gradient`` forms them for a scalar spacing.  Steps within d of h
+      move the result from the non-uniform stencil's by at most
+      4 (d / h^2) max|psi_{i+1} - psi_i|, to first order in d / h, plus
+      rounding: at most about 4e-9 of the largest difference quotient, or
+      the coordinates' own rounding where that is larger;
     * any other grid takes ``np.gradient``'s non-uniform stencil;
     * a grid with a step below ``MIN_PRODUCT_STEP``, where the non-uniform
       weights divide by products of steps that underflow, is differentiated
@@ -382,11 +414,10 @@ def curve_velocity(curve: Curve) -> np.ndarray:
     if len(curve) < 3:
         raise UsageError("derivatives need at least 3 samples")
     s = curve.s
-    smallest, largest = curve._step_range
-    if smallest >= MIN_PRODUCT_STEP:
-        if largest - smallest > 1e-9 * smallest:
+    if curve._min_step >= MIN_PRODUCT_STEP:
+        h = curve._step
+        if h is None:
             return np.gradient(curve.amplitudes, s, axis=0, edge_order=2)
-        h = float(s[1] - s[0])
         f = curve.amplitudes.view(float)
         velocity = np.empty_like(f)
         np.subtract(f[2:], f[:-2], out=velocity[1:-1])

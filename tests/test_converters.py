@@ -568,6 +568,22 @@ def test_half_turn_composite_reports_the_symmetric_squares_of_the_jones_eigenvec
             assert min(np.max(np.abs(np.outer(v, np.conj(v)) - np.outer(e, np.conj(e)))) for e in expected) <= 1e-12
 
 
+@given(plate_chains())
+def test_composite_matrix_is_the_conjugated_g_of_its_pair(plates):
+    # the lazy matrix takes the Sym^2 entries in Python arithmetic, which
+    # rounds a product differently from numpy's complex multiply in the last bit
+    chain = compose([q_matrix(spec) for spec in plates])
+    a = BASIS_CHANGE.matrix
+    assert np.max(np.abs(chain.matrix - a @ _g_entries(*chain._pair) @ a.T)) <= 4.0 * np.finfo(float).eps
+
+
+def test_q_matrix_carries_the_bits_of_plate_coefficients(rng):
+    for _ in range(200):
+        spec = random_spec(rng)
+        pair = plate_coefficients(spec)
+        assert q_matrix(spec)._pair == (pair.t, pair.r)
+
+
 def test_compose_keeps_a_long_chain_unitary(rng):
     deltas = rng.uniform(-2.0 * math.pi, 2.0 * math.pi, 100_000)
     chis = rng.uniform(-math.pi, math.pi, 100_000)

@@ -11,7 +11,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import biphase
@@ -39,10 +39,10 @@ from conftest import random_state
 
 
 def ref_velocity(s, amps):
-    steps = np.diff(s)
-    if steps.min() >= MIN_PRODUCT_STEP:
-        if steps.max() - steps.min() <= 1e-9 * steps.min():
-            velocity = np.gradient(amps.view(float), float(steps[0]), axis=0, edge_order=2).view(complex)
+    if np.diff(s).min() >= MIN_PRODUCT_STEP:
+        h = ref_uniform_step(s)
+        if h is not None:
+            velocity = np.gradient(amps.view(float), h, axis=0, edge_order=2).view(complex)
         else:
             velocity = np.gradient(amps, s, axis=0, edge_order=2)
     else:
@@ -60,18 +60,17 @@ def ref_vertical(s, amps):
 
 
 def ref_uniform_step(x):
-    steps = np.diff(x)
-    h = float(steps[0])
-    if not np.allclose(steps, h, rtol=1e-9, atol=1e-12 * max(1.0, abs(float(x[-1] - x[0])))):
+    h = float(x[-1] - x[0]) / (x.size - 1)
+    rounding = 8.0 * math.ulp(max(abs(float(x[0])), abs(float(x[-1]))))
+    if not np.allclose(np.diff(x), h, rtol=1e-9, atol=rounding):
         return None
     return h
 
 
 def ref_simpson(y, x):
-    span = float(x[-1] - x[0])
+    h = ref_uniform_step(x)
     intervals = x.size - 1
-    if ref_uniform_step(x) is not None and intervals >= 2 and intervals % 2 == 0:
-        h = span / intervals
+    if h is not None and intervals >= 2 and intervals % 2 == 0:
         total = float(h / 3.0 * (y[0] + y[-1] + 4.0 * np.sum(y[1:-1:2]) + 2.0 * np.sum(y[2:-2:2])))
     else:
         total = float(np.trapezoid(y, x))
@@ -304,7 +303,7 @@ def test_a_quadrature_that_overflows_is_a_typed_error(function, message):
 def test_uniform_stencil_stays_within_its_bound_of_np_gradient(n, kind, noise, omega, seed):
     rng = np.random.default_rng(seed)
     # tiny spans keep every step above MIN_PRODUCT_STEP, where np.gradient
-    # is defined, but the uniformity test's absolute 1e-12 admits any grid
+    # is defined
     span = 10.0 ** rng.uniform(-140.0, -100.0) if kind == "tiny" else 10.0 ** rng.uniform(-3.0, 3.0)
     t = np.linspace(0.0, 1.0, n)
     if kind != "uniform":
@@ -317,20 +316,18 @@ def test_uniform_stencil_stays_within_its_bound_of_np_gradient(n, kind, noise, o
     assert curve._min_step >= MIN_PRODUCT_STEP
     gradient = np.gradient(curve.amplitudes, curve.s, axis=0, edge_order=2)
     velocity = curve_velocity(curve)
-    steps = np.diff(curve.s)
-    h = float(steps[0])
-    d = float(np.max(np.abs(steps - h)))
-    if steps.max() - steps.min() > 1e-9 * steps.min():
-        # includes tiny grids that _uniform_step, with its absolute 1e-12, accepts
+    h = curve._step
+    if h is None:
         assert np.array_equal(velocity, gradient)
         return
     # d, the largest deviation of a step from h, is then within the relative
-    # term 1e-9 h of _uniform_step's tolerance.  To first order in d / h the
-    # end weights differ by 2 d / h^2 and d / h^2, on differences of at most
-    # D and 2 D: 4 (d / h^2) D.  The test allows twice that and a
-    # second-order term, plus the rounding of weights of about 4 / h on unit
-    # rows.
-    assert d <= 1e-9 * h and curve._step == h
+    # term 1e-9 h of _uniform_step's tolerance plus the coordinates' rounding,
+    # which is far smaller here.  To first order in d / h the end weights
+    # differ by 2 d / h^2 and d / h^2, on differences of at most D and 2 D:
+    # 4 (d / h^2) D.  The test allows twice that and a second-order term,
+    # plus the rounding of weights of about 4 / h on unit rows.
+    d = float(np.max(np.abs(np.diff(curve.s) - h)))
+    assert d <= 1e-9 * h + 8.0 * math.ulp(float(curve.s[-1]))
     f = curve.amplitudes.view(float)
     moves = float(np.max(np.abs(np.diff(f, axis=0))))
     eps = np.finfo(float).eps
@@ -352,14 +349,42 @@ def test_uniform_step_agrees_with_allclose(n, start, span, noise, seed):
     grid = np.linspace(start, start + span, n)
     rng = np.random.default_rng(seed)
     for x in (grid, grid + rng.normal(0.0, 10.0**noise * span / n, n)):
-        assert _uniform_step(x) == ref_uniform_step(x)
+        assert _uniform_step(x, np.diff(x)) == ref_uniform_step(x)
+
+
+@given(
+    st.integers(2, 2001),
+    st.floats(-1e300, 1e300),
+    st.floats(-300.0, 300.0),
+    st.booleans(),
+)
+def test_linspace_grids_are_uniform_at_every_offset_and_span(n, start, log_span, descending):
+    # the tolerance's rounding term is the coordinates' own: a linspace grid
+    # passes however far its offset sits from its span, and at any scale
+    span = 10.0**log_span
+    assume(math.isfinite(start + span) and math.isfinite(start - span))
+    x = np.linspace(start - span, start, n) if descending else np.linspace(start, start + span, n)
+    h = _uniform_step(x, np.diff(x))
+    assert h is not None and h == (float(x[-1]) - float(x[0])) / (n - 1)
+
+
+def test_scattered_tiny_grids_are_not_uniform():
+    # steps 1, 2, 3 and 4e-13 passed the former absolute floor of 1e-12
+    x = np.array([0.0, 1e-13, 3e-13, 6e-13, 1e-12])
+    assert _uniform_step(x, np.diff(x)) is None
+    for scale in (1e-300, 1e-100, 1.0, 1e100):
+        assert _uniform_step(scale * x, np.diff(scale * x)) is None
+        uniform = scale * np.linspace(0.0, 1e-12, 5)
+        assert _uniform_step(uniform, np.diff(uniform)) is not None
 
 
 def test_uniform_step_refuses_an_overflowing_span():
     # np.isclose compares infinite steps by equality and takes an
     # infinite tolerance when the span overflows
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        for x in (np.array([-1e308, 1e308]), np.array([-1.5e308, -0.5e308, 0.5e308, 1.5e308])):
+    for x in (np.array([-1e308, 1e308]), np.array([-1.5e308, -0.5e308, 0.5e308, 1.5e308])):
+        with np.errstate(over="ignore"):
+            steps = x[1:] - x[:-1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(NumericError, match="overflows"):
-                _uniform_step(x)
+                _uniform_step(x, steps)

@@ -30,6 +30,7 @@ from biphase import (
     pancharatnam,
     parallel_lift,
     q_stack,
+    ray_distance,
     two_level_curve,
     two_level_fringe,
     two_level_scenario,
@@ -59,6 +60,43 @@ def test_geodesic_frame_rejects_a_shared_ray(rng):
     respun = StateVector(a.amplitudes * np.exp(0.7j), Basis.PMZ)
     with pytest.raises(DegenerateRayError):
         geodesic_frame(a, respun)
+
+
+@pytest.mark.parametrize("theta", [3e-9, 1e-8, 2e-8, 1e-6, 1.0])
+@pytest.mark.parametrize("phase", [0.0, 0.4, -2.9])
+def test_geodesic_frame_resolves_small_angles(theta, phase):
+    # the overlap cos(theta) rounds to within eps of 1 for theta below about
+    # 1e-8; the norm of the orthogonal part still carries sin(theta) to a few ulp
+    axis = np.array([0.6, -0.8j])
+    a = pmz(1.0, 0.0, 0.0)
+    b = StateVector(np.exp(1j * phase) * np.array([math.cos(theta), *(math.sin(theta) * axis)]), Basis.PMZ)
+    _, tangent, s0 = geodesic_frame(a, b)
+    assert s0 == pytest.approx(theta, rel=1e-12)
+    assert ray_distance(a, b) == pytest.approx(math.sin(theta), rel=1e-12)
+    # b re-gauged to a real overlap with a: the tangent drops b's phase; its
+    # component along a is the rounding of b's first amplitude over sin(theta)
+    assert np.max(np.abs(tangent.amplitudes - np.array([0.0, *axis]))) <= 1e-15 / theta
+
+
+@pytest.mark.parametrize("theta", [0.0, 1e-12, 1e-9])
+def test_geodesic_frame_refuses_rays_at_or_below_the_tolerance(theta):
+    a = pmz(1.0, 0.0, 0.0)
+    b = StateVector(np.array([math.cos(theta), math.sin(theta), 0.0]) * np.exp(0.3j), Basis.PMZ)
+    with pytest.raises(DegenerateRayError):
+        geodesic_frame(a, b)
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3, 41, 2001]))
+def test_geodesic_rows_are_the_bits_of_the_broadcast_form(seed, n):
+    rng = np.random.default_rng(seed)
+    a, b = random_state(rng), random_state(rng)
+    start, tangent, s0 = geodesic_frame(a, b)
+    s = np.linspace(0.0, s0, n)
+    p, u = start.amplitudes.view(float), tangent.amplitudes.view(float)
+    rows = np.cos(s)[:, None] * p + np.sin(s)[:, None] * u
+    curve = geodesic_between(a, b, n)
+    assert np.array_equal(curve.s, s)
+    assert np.array_equal(curve.amplitudes.view(float).reshape(n, 6), rows)
 
 
 def test_geodesic_between_orthogonal_axes_is_the_great_circle():

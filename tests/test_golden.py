@@ -27,6 +27,8 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -92,22 +94,77 @@ def test_golden_output_moves_at_rounding_level_with_the_plate_matrices(monkeypat
     # rounding level; a solver's eigenvector of a doubled eigenvalue would not
     expected = numbers(json.loads(render(case, command, "json")))
     rng = np.random.default_rng(7)
-    exact, exact_pair = converters.q_stack, converters.plate_coefficients
+    exact, exact_pair = converters.q_stack, converters._plate_pair
 
     def rounded(deltas, chi):
         q = exact(deltas, chi)
         return q * (1.0 + 4e-16 * rng.standard_normal(q.shape))
 
     def rounded_pair(spec):
-        pair = exact_pair(spec)
-        t, r = (z + z * complex(*(4e-16 * rng.standard_normal(2))) for z in (pair.t, pair.r))
-        return converters.TransmissionPair(t, r)
+        return tuple(z + z * complex(*(4e-16 * rng.standard_normal(2))) for z in exact_pair(spec))
 
     monkeypatch.setattr(converters, "q_stack", rounded)
-    monkeypatch.setattr(converters, "plate_coefficients", rounded_pair)
+    monkeypatch.setattr(converters, "_plate_pair", rounded_pair)
     for _ in range(3):
         got = numbers(json.loads(render(case, command, "json")))
         assert np.max(np.abs(np.subtract(got, expected)), initial=0.0) <= 1e-12
+
+
+def dispatch_tiers() -> list[str]:
+    """The SIMD tiers numpy dispatches to above its baseline on this CPU."""
+    from numpy._core import _multiarray_umath as umath
+
+    features = getattr(umath, "__cpu_features__", {})
+    return [name for name in getattr(umath, "__cpu_dispatch__", []) if features.get(name)]
+
+
+#: Cases whose bytes follow numpy's SIMD tier: the dynamical phases and
+#: evolved curves go through numpy's vectorised complex arithmetic (ROADMAP
+#: item 3).  Every other case is computed in scalar or tier-independent
+#: arithmetic, the composites' eigenvectors in Python complex numbers.
+TIER_DEPENDENT = {
+    ("run-phases-interference", "json"),
+    ("run-emit-curve", "json"),
+    ("sweep-delta-null", "json"),
+    ("sweep-delta-null", "csv"),
+    ("sweep-chi-degrees", "csv"),
+}
+
+RENDER_ALL = """
+import json
+from test_golden import CASES, render
+print(json.dumps({f"{case}.{fmt}": render(case, command, fmt).decode("utf-8") for case, command, fmt in CASES}))
+"""
+
+
+@pytest.fixture(scope="module")
+def baseline_renders() -> dict:
+    """Every golden case rendered in one subprocess with every dispatched SIMD tier disabled."""
+    tiers = dispatch_tiers()
+    if not tiers:
+        pytest.skip("numpy dispatches no SIMD tier above its baseline on this CPU")
+    here = os.path.dirname(os.path.abspath(__file__))
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(tiers))
+    env["PYTHONPATH"] = os.pathsep.join([os.path.join(os.path.dirname(here), "src"), here])
+    done = subprocess.run([sys.executable, "-c", RENDER_ALL], env=env, capture_output=True, text=True, check=True)
+    return json.loads(done.stdout)
+
+
+@pytest.mark.parametrize(
+    "case, command, fmt",
+    [
+        pytest.param(
+            *case,
+            marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 3: bytes follow numpy's SIMD tier"),
+        )
+        if (case[0], case[2]) in TIER_DEPENDENT
+        else case
+        for case in CASES
+    ],
+)
+def test_golden_output_does_not_depend_on_the_simd_tier(baseline_renders, case, command, fmt):
+    with open(expected_path(case, fmt), "rb") as handle:
+        assert baseline_renders[f"{case}.{fmt}"].encode("utf-8") == handle.read()
 
 
 if __name__ == "__main__":

@@ -129,6 +129,58 @@ def test_state_vector_validates_shape_norm_and_finiteness():
         StateVector(np.array([1.0, 0.0, 0.0], dtype=complex), "pmz")
 
 
+def numpy_state_verdict(amps):
+    """The error type the StateVector checks raised when they ran as numpy calls on the triple, or None."""
+    if not np.all(np.isfinite(amps.view(float))):
+        return NumericError
+    with np.errstate(over="ignore"):
+        norm_sq = float(np.sum(np.abs(amps) ** 2))
+    return UsageError if abs(norm_sq - 1.0) > NORM_TOL else None
+
+
+def state_verdict(amps):
+    try:
+        StateVector(amps, Basis.PMZ)
+    except (NumericError, UsageError) as exc:
+        return type(exc)
+    return None
+
+
+# |c|^2 = 1 + k 1e-13 on both sides of NORM_TOL; k = +-10 itself is left
+# out, where the two forms' sums may round to opposite sides
+norm_offsets = [k for k in range(-25, 26) if abs(k) != 10] + [-10.02, -9.98, 9.98, 10.02]
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from(norm_offsets))
+def test_state_check_keeps_the_verdicts_of_the_numpy_form(seed, k):
+    rng = np.random.default_rng(seed)
+    amps = random_amplitudes(rng) * math.sqrt(1.0 + k * 1e-13)
+    assert state_verdict(amps) is numpy_state_verdict(amps)
+    assert state_verdict(amps) is (UsageError if abs(k) > 10 else None)
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 5),
+    st.sampled_from([math.inf, -math.inf, math.nan, 1e155, 1e200, 1e308]),
+)
+def test_state_check_keeps_the_verdicts_on_non_finite_and_huge_parts(seed, slot, value):
+    parts = random_amplitudes(np.random.default_rng(seed)).view(float).copy()
+    parts[slot] = value
+    amps = parts.view(complex)
+    expected = NumericError if not math.isfinite(value) else UsageError
+    assert state_verdict(amps) is numpy_state_verdict(amps) is expected
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1.0, 30.0, 1e6]))
+def test_gauge_factor_is_the_bits_of_the_complex_exponential(seed, size):
+    rng = np.random.default_rng(seed)
+    curve = geodesic_between(random_state(rng), random_state(rng), 41)
+    alpha = size * rng.normal(size=41)
+    phased = gauge_transform(curve, alpha)
+    assert np.array_equal(phased.amplitudes, np.exp(1j * alpha)[:, None] * curve.amplitudes)
+
+
 def test_state_vector_is_immutable():
     state = StateVector(np.array([1.0, 0.0, 0.0], dtype=complex), Basis.PMZ)
     with pytest.raises(ValueError):
@@ -315,9 +367,8 @@ def endpoint_pairs(draw):
     across /= np.linalg.norm(across)
     if kind == "orthogonal":
         return a, StateVector.normalized(across, Basis.PMZ)
-    # rays a small angle apart; the chord sqrt(1 - |<a|b>|^2) resolves
-    # angles down to about sqrt(2 eps) = 1.5e-8 only
-    angle = 10.0 ** draw(st.floats(-7.5, -2.0))
+    # rays a small angle apart, down to a few times DEGENERACY_TOL
+    angle = 10.0 ** draw(st.floats(-8.5, -2.0))
     phase = np.exp(1j * draw(st.floats(-math.pi, math.pi)))
     return a, StateVector.normalized(phase * (math.cos(angle) * a.amplitudes + math.sin(angle) * across), Basis.PMZ)
 
@@ -343,13 +394,17 @@ def test_trusted_outputs_pass_the_public_constructors(pair, n, seed, size):
 
 
 def test_a_geodesic_between_endpoints_at_the_norm_tolerance_is_checked():
-    # |a|^2 - 1 = -9.8e-13 leaves the tangent of a ray 2e-9 away with a large
-    # component along a; the rows then miss unit norm by about 1e-9, so the
-    # trusted bound defers to the public check, which refuses them
+    # |a|^2 - 1 = -9.8e-13 leaves the tangent of a ray 2e-9 away with a
+    # component 4.9e-4 along a, so the trusted bound, 2.9e-12, defers to the
+    # public check; the rows run from a to b exactly, within NORM_TOL of
+    # unit norm, and the check measures and accepts them
     a = StateVector(np.array([1.0 - 4.9e-13, 0.0, 0.0]), Basis.PMZ)
     b = StateVector.normalized(np.array([math.cos(2e-9), math.sin(2e-9), 0.0]), Basis.PMZ)
-    with pytest.raises(UsageError, match="non-unit sample"):
-        geodesic_between(a, b, 41)
+    curve = geodesic_between(a, b, 41)
+    # a trusted curve would carry the bound, 2.9e-12; the measured worst row is smaller
+    assert 9e-13 < curve._defect <= NORM_TOL
+    end = curve.amplitudes[-1]
+    assert np.max(np.abs(end / np.linalg.norm(end) - b.amplitudes)) <= 1e-15
     # rows within one rounding of the tolerance: states and gauged rows are
     # measured by the public checks, which accept them
     x = math.sqrt(1.0 + NORM_TOL - 1e-15)
