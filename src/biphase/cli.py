@@ -82,6 +82,13 @@ from .state_space import Basis, Curve, StateVector, inner, to_pmz
 OUTPUT_QUANTITIES = ("phases", "eigen", "geodesic-check", "interference", "jump")
 SWEEP_PARAMETERS = ("delta", "chi", "s")
 DEFAULT_SAMPLES = 2001
+#: Largest ``samples`` and ``sweep.count``.  At these bounds a ``geodesic``
+#: pair, a ``geodesic-check`` grid or a sweep peaks at 40-70 MB of process
+#: memory, and ten times more at 160-410 MB; an allocation failure would be
+#: no typed error.  An emitted curve costs about 2.4 kB per sample and plate,
+#: most of it the JSON text it prints.
+MAX_SAMPLES = 100_000
+MAX_SWEEP_COUNT = 10_000
 DEFAULT_JUMP_EPSILON = 1e-3
 
 #: Plate-basis amplitude below this counts as the vanishing component of a
@@ -108,11 +115,13 @@ def _as_number(value: Any, where: str) -> float:
     return result
 
 
-def _as_int(value: Any, where: str, minimum: int | None = None) -> int:
+def _as_int(value: Any, where: str, minimum: int | None = None, maximum: int | None = None) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         _fail(f"{where} must be an integer")
     if minimum is not None and value < minimum:
         _fail(f"{where} must be at least {minimum}")
+    if maximum is not None and value > maximum:
+        _fail(f"{where} must be at most {maximum}")
     return value
 
 
@@ -206,7 +215,7 @@ def _angle_scale(config: dict) -> float:
 def _read_sampling(config: dict, fmt: str) -> tuple[float, int, bool]:
     """The angle scale, ``samples`` and ``emit_curve``, which run, sweep and geodesic read first."""
     scale = _angle_scale(config)
-    samples = _as_int(config.get("samples", DEFAULT_SAMPLES), "samples", minimum=2)
+    samples = _as_int(config.get("samples", DEFAULT_SAMPLES), "samples", minimum=2, maximum=MAX_SAMPLES)
     emit_curve = _as_flag(config, "emit_curve")
     if emit_curve and fmt != "json":
         _fail("emit_curve requires --format json")
@@ -459,7 +468,7 @@ def _parse_sweep_grid(config: dict, plates: Sequence[PlateSpec], scale: float) -
         _fail(f"sweep.parameter must be one of {', '.join(SWEEP_PARAMETERS)}")
     if "count" not in data:
         _fail("sweep needs a count")
-    count = _as_int(data["count"], "sweep.count", minimum=2)
+    count = _as_int(data["count"], "sweep.count", minimum=2, maximum=MAX_SWEEP_COUNT)
     start = _as_number(data.get("start"), "sweep.start") * scale
     stop = _as_number(data.get("stop"), "sweep.stop") * scale
     if not math.isfinite(stop - start):

@@ -171,8 +171,9 @@ class EigenSystem:
 
 def _plate_pair(spec: PlateSpec) -> tuple[complex, complex]:
     """The plate's (t, r) as Python complex numbers."""
-    t = complex(math.cos(spec.delta), math.sin(spec.delta) * math.cos(2.0 * spec.chi))
-    r = complex(0.0, math.sin(spec.delta) * math.sin(2.0 * spec.chi))
+    sin = math.sin(spec.delta)
+    t = complex(math.cos(spec.delta), sin * math.cos(2.0 * spec.chi))
+    r = complex(0.0, sin * math.sin(2.0 * spec.chi))
     return t, r
 
 

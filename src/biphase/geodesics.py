@@ -30,6 +30,8 @@ from .state_space import (
     StateVector,
     _ROUNDING,
     _orthogonal_part,
+    _real_rows,
+    _sum_squares,
     _uniform_step,
     gauge_transform,
 )
@@ -95,26 +97,22 @@ def geodesic_between(a: StateVector, b: StateVector, n: int) -> Curve:
     return Curve._trusted(s, rows.view(complex), a.basis, defect + _ROUNDING)
 
 
-def _real_rows(x: np.ndarray) -> np.ndarray:
-    """The real view of complex rows (or of complex numbers, one per row), real and imaginary parts side by side."""
-    return x.view(float).reshape(x.shape[0], -1)
-
-
-def _sum_squares(rows: np.ndarray) -> np.ndarray:
-    """Sum of squares of each real row: a squared norm, with no complex modulus."""
-    return np.einsum("ij,ij->i", rows, rows)
-
-
 def geodesic_residual(curve: Curve) -> float:
     """Max norm of d2psi/ds2 + <dpsi|dpsi> psi over interior samples.
 
     The first derivative is the curve's shared velocity (``curve_velocity``),
     which on a grid of equal steps h is the central difference
-    (psi_{i+1} - psi_{i-1}) / 2h inside; the second is the central
-    difference (psi_{i-1} - 2 psi_i + psi_{i+1}) / h^2.  Both, the squared
-    speed and the squared norms are formed on the real view of the
-    amplitudes, as sums of squares.  A true geodesic leaves a residual of
-    order step^2 only.
+    (psi_{i+1} - psi_{i-1}) / 2h inside, and <dpsi|dpsi> is the curve's
+    shared squared speed; the second derivative is the central difference
+    (psi_{i-1} - 2 psi_i + psi_{i+1}) / h^2.  The residual times h^2 is
+    formed on the real view of the amplitudes in three row passes,
+
+        psi_{i-1} + psi_{i+1} + (h^2 <dpsi|dpsi> - 2) psi_i,
+
+    and the largest norm, a square root of a sum of squares, is divided by
+    h^2 once.  A true geodesic leaves a residual of order step^2 only; the
+    rounding of unit rows, about eps each, puts a floor of about
+    4 eps / h^2 under it.
     """
     if len(curve) < 5:
         raise UsageError("the residual check needs at least 5 samples")
@@ -125,44 +123,42 @@ def geodesic_residual(curve: Curve) -> float:
         raise NumericError(
             f"step {curve._min_step!r} is too small for second differences: its square underflows"
         )
-    if math.isinf(h * h):
+    h_sq = h * h
+    if math.isinf(h_sq):
         raise NumericError(f"step {h!r} is too large for second differences: its square overflows")
     f = _real_rows(curve.amplitudes)
-    speed_sq = _sum_squares(_real_rows(curve._velocity)[1:-1])
-    # (f_{i-1} - 2 f_i + f_{i+1}) / h^2 + speed^2 f_i, in place, in that order
-    acc = np.multiply(f[1:-1], 2.0)
-    np.subtract(f[:-2], acc, out=acc)
-    acc += f[2:]
-    acc /= h**2
-    centripetal = np.multiply(speed_sq[:, None], f[1:-1])
-    acc += centripetal
-    return math.sqrt(float(np.max(_sum_squares(acc))))
+    weight = curve._speed_sq[1:-1] * h_sq
+    weight -= 2.0
+    acc = np.add(f[:-2], f[2:])
+    centre = np.multiply(weight[:, None], f[1:-1])
+    acc += centre
+    return math.sqrt(float(_sum_squares(acc).max())) / h_sq
 
 
 def _squarable_derivatives(curve: Curve) -> tuple[np.ndarray, np.ndarray]:
-    """The curve's shared velocity and vertical series, for functionals that square them.
+    """The curve's shared speed^2 and |<psi|dpsi/ds>|^2, for the functionals that square derivatives.
 
     A finite difference carries rounding noise of about eps |psi| / step.
     Below ``MIN_PRODUCT_STEP`` that noise swamps the velocity, and its
-    square can overflow, so such a grid is refused.  The phase functionals
-    read only Im<psi|dpsi/ds>, which stays resolved there.
+    square can overflow, so such a grid is refused before anything is
+    squared.  The phase functionals read only Im<psi|dpsi/ds>, which stays
+    resolved there.
     """
-    velocity = curve._velocity
     if curve._min_step < MIN_PRODUCT_STEP:
         raise NumericError(
             f"step {curve._min_step!r} is too small for squared derivatives: "
             "its rounding noise, about eps / step, swamps them"
         )
-    return velocity, curve._vertical
+    return curve._speed_sq, curve._vertical_sq
 
 
 def horizontality_residual(curve: Curve) -> float:
     """Max |<psi|dpsi/ds>| over the curve, via finite differences.
 
-    The modulus is the ``hypot`` of the real and imaginary parts.
+    The modulus is the square root of the curve's shared |<psi|dpsi/ds>|^2,
+    a sum of squares of the real and imaginary parts.
     """
-    vertical = _squarable_derivatives(curve)[1]
-    return float(np.max(np.hypot(vertical.real, vertical.imag)))
+    return math.sqrt(float(_squarable_derivatives(curve)[1].max()))
 
 
 def parallel_lift(curve: Curve) -> Curve:
@@ -176,9 +172,12 @@ def parallel_lift(curve: Curve) -> Curve:
     """
     if len(curve) < 3:
         raise UsageError("the lift needs at least 3 samples")
-    rate = -curve._vertical.imag
+    rate = curve._vertical.imag
+    alpha = np.empty(len(curve))
+    alpha[0] = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        alpha = np.concatenate(([0.0], np.cumsum(np.diff(curve.s) * (rate[1:] + rate[:-1]) / 2.0)))
+        # the steps times -(rate sum) / 2, formed as (rate sum) / -2: the same bits
+        np.cumsum(curve._steps * (rate[1:] + rate[:-1]) / -2.0, out=alpha[1:])
     return gauge_transform(curve, alpha)  # refuses angles that are not finite
 
 
@@ -187,13 +186,13 @@ def curve_length(curve: Curve) -> float:
 
     The subtraction removes the vertical (pure-gauge) part of the velocity,
     so the length is gauge invariant and vanishes on constant curves.  Both
-    squares are sums of squares over real views.
+    squares are the curve's shared sums of squares over real views.
     """
     if len(curve) < 3:
         raise UsageError("length quadrature needs at least 3 samples")
-    vel, vertical = _squarable_derivatives(curve)
-    radicand = _sum_squares(_real_rows(vel)) - _sum_squares(_real_rows(vertical))
-    if float(np.min(radicand)) < -1e-12:
+    speed_sq, vertical_sq = _squarable_derivatives(curve)
+    radicand = speed_sq - vertical_sq
+    if float(radicand.min()) < -1e-12:
         raise NumericError("length integrand went negative beyond rounding tolerance")
     return _simpson(np.sqrt(np.clip(radicand, 0.0, None)), curve.s, curve._step)
 
@@ -312,10 +311,10 @@ def _check_waves(delta_grid: np.ndarray | list[float]) -> tuple[float, np.ndarra
     deltas = np.asarray(delta_grid, dtype=float)
     if deltas.ndim != 1 or deltas.size < 5:
         raise UsageError("the delta grid needs at least 5 points")
-    if not np.all(np.isfinite(deltas)):
+    if not np.isfinite(deltas).all():
         raise UsageError("the delta grid must be finite")
     steps = np.diff(deltas)
-    if np.any(steps <= 0.0):
+    if (steps <= 0.0).any():
         raise UsageError("the delta grid must be strictly increasing")
     h = _uniform_step(deltas, steps)
     if h is None:

@@ -126,7 +126,7 @@ def _simpson(y: np.ndarray, x: np.ndarray, h: float | None) -> float:
     intervals = x.size - 1
     with np.errstate(over="ignore", invalid="ignore"):
         if h is not None and intervals >= 2 and intervals % 2 == 0:
-            total = float(h / 3.0 * (y[0] + y[-1] + 4.0 * np.sum(y[1:-1:2]) + 2.0 * np.sum(y[2:-2:2])))
+            total = float(h / 3.0 * (y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-2:2].sum()))
         else:
             total = float(np.trapezoid(y, x))
     if not math.isfinite(total):
@@ -225,7 +225,7 @@ def bargmann_limit(curve: Curve, *, threshold: float = ORTHOGONALITY_TOL) -> flo
     amps = curve.amplitudes
     consecutive = overlap_series(curve)
     closing = complex(np.vdot(amps[-1], amps[0]))
-    if abs(closing) < threshold or float(np.min(np.abs(consecutive))) < threshold:
+    if abs(closing) < threshold or float(np.abs(consecutive).min()) < threshold:
         raise IndeterminatePhaseError("an overlap in the sampled polygon is orthogonal")
-    total = float(np.sum(np.angle(consecutive))) + cmath.phase(closing)
+    total = float(np.angle(consecutive).sum()) + cmath.phase(closing)
     return principal(-total)

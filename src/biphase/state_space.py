@@ -130,7 +130,7 @@ class StateVector:
         amps = np.asarray(amplitudes, dtype=complex)
         if amps.shape != (3,):
             raise UsageError(f"state needs exactly 3 amplitudes, got shape {amps.shape}")
-        if not np.all(np.isfinite(amps.view(float))):
+        if not np.isfinite(amps.view(float)).all():
             raise NumericError("state amplitudes must be finite")
         with np.errstate(over="ignore"):
             norm = float(np.linalg.norm(amps))
@@ -177,7 +177,10 @@ def _orthogonal_part(a: StateVector, b: StateVector) -> tuple[float, list[comple
     """|<a|b>|, the part w = b' - |<a|b>| a of b orthogonal to a, and its norm |w|.
 
     b' is b re-gauged by conj(z) / |z|, z = <a|b>, so that <a|b'> is real
-    and non-negative; orthogonal states keep b as it is.  For unit rays an
+    and non-negative.  A |z| at or below ``_ROUNDING`` is rounding noise,
+    whose phase would re-gauge b at random, so it counts as z = 0: b keeps
+    its own phase, w = b, and the arc is a quarter circle whatever the last
+    bits of the amplitudes.  For unit rays an
     angle theta apart |w| = sin(theta) and |<a|b>| = cos(theta).  |w| is
     formed from the components of w, not as sqrt(1 - |z|^2): rounding of z
     moves w along a, orthogonal to w itself, so it changes |w| only to
@@ -190,7 +193,10 @@ def _orthogonal_part(a: StateVector, b: StateVector) -> tuple[float, list[comple
     y0, y1, y2 = b.amplitudes.tolist()
     z = x0.conjugate() * y0 + x1.conjugate() * y1 + x2.conjugate() * y2
     overlap = abs(z)
-    unit = z.conjugate() / overlap if overlap else 1.0
+    if overlap <= _ROUNDING:
+        overlap, unit = 0.0, 1.0
+    else:
+        unit = z.conjugate() / overlap
     w = [y * unit - overlap * x for x, y in ((x0, y0), (x1, y1), (x2, y2))]
     gap = math.hypot(w[0].real, w[0].imag, w[1].real, w[1].imag, w[2].real, w[2].imag)
     return overlap, w, gap
@@ -221,10 +227,11 @@ class Curve:
         Common basis tag of every sample.
 
     The derivative data that the finite-difference functionals share (the
-    velocity, the vertical series <psi_i|dpsi_i/ds> and the uniform step)
-    is computed on first use, once per instance, and kept read-only.  A
-    curve also keeps ``_defect``, a bound on |row norm^2 - 1|: the measured
-    worst row for a public construction, a proven bound for a trusted one.
+    velocity, the vertical series <psi_i|dpsi_i/ds>, their squared moduli
+    per sample and the uniform step) is computed on first use, once per
+    instance, and kept read-only.  A curve also keeps ``_defect``, a bound
+    on |row norm^2 - 1|: the measured worst row for a public construction,
+    a proven bound for a trusted one.
     """
 
     s: np.ndarray
@@ -239,13 +246,11 @@ class Curve:
             raise UsageError("a curve needs at least 2 samples")
         if amps.shape != (s.size, 3):
             raise UsageError(f"amplitudes shape {amps.shape} does not match {s.size} samples")
-        if not np.all(np.isfinite(s)) or not np.all(np.isfinite(amps.view(float))):
+        if not np.isfinite(s).all() or not np.isfinite(amps.view(float)).all():
             raise NumericError("curve samples must be finite")
-        if not np.all(np.diff(s) > 0.0):
+        if not (np.diff(s) > 0.0).all():
             raise UsageError("curve parameters must be strictly increasing")
-        parts = amps.view(float).reshape(s.size, 6)
-        norms = np.einsum("ij,ij->i", parts, parts)
-        worst = float(np.max(np.abs(norms - 1.0)))
+        worst = float(np.abs(_sum_squares(_real_rows(amps)) - 1.0).max())
         if worst > NORM_TOL:
             raise UsageError(f"curve contains a non-unit sample, |c|^2 off by {worst!r}")
         if not isinstance(self.basis, Basis):
@@ -314,7 +319,7 @@ class Curve:
         # a span too short for the rays' turn overflows the velocity
         with np.errstate(over="ignore", invalid="ignore"):
             velocity = curve_velocity(self)
-        if not np.all(np.isfinite(velocity.view(float))):
+        if not np.isfinite(velocity.view(float)).all():
             raise NumericError(f"velocity overflows over the span {float(self.s[-1] - self.s[0])!r}")
         velocity.flags.writeable = False
         return velocity
@@ -324,6 +329,16 @@ class Curve:
         vertical = np.einsum("ij,ij->i", np.conj(self.amplitudes), self._velocity)
         vertical.flags.writeable = False
         return vertical
+
+    @functools.cached_property
+    def _speed_sq(self) -> np.ndarray:
+        """<dpsi|dpsi> per sample, the sum of squares of the velocity's real view."""
+        return _squared_moduli(self._velocity, "speed")
+
+    @functools.cached_property
+    def _vertical_sq(self) -> np.ndarray:
+        """|<psi|dpsi/ds>|^2 per sample, the sum of squares of the vertical series' parts."""
+        return _squared_moduli(self._vertical, "vertical velocity")
 
     @classmethod
     def from_states(cls, s_values: Sequence[float], states: Sequence[StateVector]) -> "Curve":
@@ -337,6 +352,30 @@ class Curve:
                 raise BasisMismatchError("curve samples must share one basis")
         amps = np.stack([st.amplitudes for st in states])
         return cls(np.asarray(s_values, dtype=float), amps, basis)
+
+
+def _real_rows(x: np.ndarray) -> np.ndarray:
+    """The real view of complex rows (or of complex numbers, one per row), real and imaginary parts side by side."""
+    return x.view(float).reshape(x.shape[0], -1)
+
+
+def _sum_squares(rows: np.ndarray) -> np.ndarray:
+    """Sum of squares of each real row: a squared norm, with no complex modulus."""
+    return np.einsum("ij,ij->i", rows, rows)
+
+
+def _squared_moduli(x: np.ndarray, what: str) -> np.ndarray:
+    """Read-only squared moduli of complex rows (or numbers) ``x``, refused when one overflows.
+
+    A finite difference of unit rows on a step just above
+    ``MIN_PRODUCT_STEP`` can be finite while its square is not.
+    """
+    with np.errstate(over="ignore"):
+        squares = _sum_squares(_real_rows(x))
+    if not squares.max() < math.inf:
+        raise NumericError(f"the squared {what} overflows")
+    squares.flags.writeable = False
+    return squares
 
 
 def gauge_transform(curve: Curve, alpha: Union[Callable[[float], float], Sequence[float]]) -> Curve:
@@ -355,7 +394,7 @@ def gauge_transform(curve: Curve, alpha: Union[Callable[[float], float], Sequenc
         values = np.asarray(alpha, dtype=float)
         if values.shape != curve.s.shape:
             raise UsageError("need exactly one gauge angle per curve sample")
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         raise NumericError("gauge angles must be finite at every sample")
     # exp(i alpha) from its cosine and sine, the bits np.exp(1j * alpha) gives at less cost
     factor = np.empty(values.shape, dtype=complex)
@@ -383,7 +422,7 @@ def _uniform_step(x: np.ndarray, steps: np.ndarray) -> float | None:
     if not math.isfinite(span):
         raise NumericError(f"grid span {span!r} overflows")
     h = span / (x.size - 1)
-    if float(np.max(np.abs(steps - h))) > 8.0 * math.ulp(max(abs(first), abs(last))) + 1e-9 * abs(h):
+    if float(np.abs(steps - h).max()) > 8.0 * math.ulp(max(abs(first), abs(last))) + 1e-9 * abs(h):
         return None
     return h
 
@@ -422,8 +461,11 @@ def curve_velocity(curve: Curve) -> np.ndarray:
         velocity = np.empty_like(f)
         np.subtract(f[2:], f[:-2], out=velocity[1:-1])
         velocity[1:-1] /= 2.0 * h
-        velocity[0] = -1.5 / h * f[0] + 2.0 / h * f[1] + -0.5 / h * f[2]
-        velocity[-1] = 0.5 / h * f[-3] + -2.0 / h * f[-2] + 1.5 / h * f[-1]
+        # the six-part end rows in Python floats: the roundings of numpy's
+        # element-wise products and sums, without its per-call cost
+        lo, mid, hi = 0.5 / h, 2.0 / h, 1.5 / h
+        velocity[0] = [-hi * a + mid * b + -lo * c for a, b, c in zip(*f[:3].tolist())]
+        velocity[-1] = [lo * a + -mid * b + hi * c for a, b, c in zip(*f[-3:].tolist())]
         return velocity.view(complex)
     span = s[-1] - s[0]
     velocity = np.gradient(curve.amplitudes, (s - s[0]) / span, axis=0, edge_order=2)

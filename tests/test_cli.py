@@ -245,6 +245,10 @@ CONFIG_ERRORS = [
     (SAMPLES_COMMANDS, {"samples": 11.0}, (), "samples must be an integer"),
     (SAMPLES_COMMANDS, {"samples": True}, (), "samples must be an integer"),
     (SAMPLES_COMMANDS, {"samples": 1}, (), "samples must be at least 2"),
+    # the size bounds, tested by their refusals: no grid is allocated
+    (SAMPLES_COMMANDS, {"samples": 100_001}, (), "samples must be at most 100000"),
+    (SAMPLES_COMMANDS, {"samples": 10**13}, (), "samples must be at most 100000"),
+    (("geodesic",), {**GEODESIC_PAIR, "samples": 10**13}, (), "samples must be at most 100000"),
     (QUANTITY_COMMANDS, {"interference_phi": "0"}, (), "interference_phi must be a number"),
     (QUANTITY_COMMANDS, {"interference_phi": -math.inf}, (), "interference_phi must be finite"),
     (QUANTITY_COMMANDS, {"jump_epsilon": "abc"}, (), "jump_epsilon must be a number"),
@@ -261,6 +265,8 @@ CONFIG_ERRORS = [
     (("run", "sweep"), {"sweep": edited(ERR_GRID, count=DROP)}, (), "sweep needs a count"),
     (("run", "sweep"), {"sweep": {**ERR_GRID, "count": 3.0}}, (), "sweep.count must be an integer"),
     (("run", "sweep"), {"sweep": {**ERR_GRID, "count": 1}}, (), "sweep.count must be at least 2"),
+    (("run", "sweep"), {"sweep": {**ERR_GRID, "count": 10_001}}, (), "sweep.count must be at most 10000"),
+    (("run", "sweep"), {"sweep": {**ERR_GRID, "count": 10**13}}, (), "sweep.count must be at most 10000"),
     (("run", "sweep"), {"sweep": edited(ERR_GRID, start=DROP)}, (), "sweep.start must be a number"),
     (("run", "sweep"), {"sweep": {**ERR_GRID, "stop": math.nan}}, (), "sweep.stop must be finite"),
     (

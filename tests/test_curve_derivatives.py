@@ -1,9 +1,10 @@
 """The derivative data a Curve shares among its finite-difference functionals.
 
 Each functional must return exactly what it returns when it differentiates
-the curve itself, so the references below recompute everything from
-``np.gradient``, ``np.einsum``, ``np.hypot`` and ``np.allclose``, in the
-same real arithmetic.
+and squares the curve itself, so the references below recompute everything
+from ``np.gradient``, ``np.einsum`` and ``np.allclose``, in the same real
+arithmetic.  Two earlier forms, the seven-pass geodesic residual and the
+``np.hypot`` modulus, stay as bounds on the rounding of the current ones.
 """
 
 import math
@@ -100,11 +101,19 @@ def sum_squares(rows):
     return np.einsum("ij,ij->i", rows, rows)
 
 
+def squared_moduli(x):
+    squares = sum_squares(real_rows(x))
+    # a square that overflows is refused, not compared
+    if not np.all(np.isfinite(squares)):
+        raise NumericError("squared derivative overflows")
+    return squares
+
+
 def ref_horizontality(s, amps):
     if np.diff(s).min() < MIN_PRODUCT_STEP:
         raise NumericError("step too small")
-    vertical = ref_vertical(s, amps)
-    return float(np.max(np.hypot(vertical.real, vertical.imag)))
+    squared_moduli(ref_velocity(s, amps))
+    return math.sqrt(float(np.max(squared_moduli(ref_vertical(s, amps)))))
 
 
 def ref_curve_length(s, amps):
@@ -112,13 +121,14 @@ def ref_curve_length(s, amps):
         raise NumericError("step too small")
     vel = ref_velocity(s, amps)
     vertical = np.einsum("ij,ij->i", np.conj(amps), vel)
-    radicand = sum_squares(real_rows(vel)) - sum_squares(real_rows(vertical))
+    radicand = squared_moduli(vel) - squared_moduli(vertical)
     if float(np.min(radicand)) < -1e-12:
         raise NumericError("negative radicand")
     return ref_simpson(np.sqrt(np.clip(radicand, 0.0, None)), s)
 
 
-def ref_geodesic_residual(s, amps):
+def residual_grid(s):
+    """The step of a grid the residual accepts, or the typed error it raises."""
     if s.size < 5:
         raise UsageError("too few samples")
     h = ref_uniform_step(s)
@@ -126,10 +136,30 @@ def ref_geodesic_residual(s, amps):
         raise UsageError("not uniform")
     if np.diff(s).min() < MIN_PRODUCT_STEP:
         raise NumericError("step too small")
+    return h
+
+
+def ref_geodesic_residual(s, amps):
+    h = residual_grid(s)
+    f = real_rows(amps)
+    speed_sq = squared_moduli(ref_velocity(s, amps))[1:-1]
+    h_sq = h * h
+    acc = f[:-2] + f[2:] + (speed_sq * h_sq - 2.0)[:, None] * f[1:-1]
+    return math.sqrt(float(np.max(sum_squares(acc)))) / h_sq
+
+
+def seven_pass_geodesic_residual(s, amps):
+    """The residual as (f_{i-1} - 2 f_i + f_{i+1}) / h^2 + speed^2 f_i, before the three-pass form."""
+    h = residual_grid(s)
     f = real_rows(amps)
     speed_sq = sum_squares(real_rows(ref_velocity(s, amps))[1:-1])
     acc = (f[:-2] - 2.0 * f[1:-1] + f[2:]) / h**2
     return math.sqrt(float(np.max(sum_squares(acc + speed_sq[:, None] * f[1:-1]))))
+
+
+def hypot_horizontality(s, amps):
+    vertical = ref_vertical(s, amps)
+    return float(np.max(np.hypot(vertical.real, vertical.imag)))
 
 
 CONSUMERS = [
@@ -159,10 +189,10 @@ def same(a, b) -> bool:
 
 
 @st.composite
-def curves(draw):
+def curves(draw, kinds=("uniform", "perturbed", "scattered", "tiny"), min_samples=3):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    n = draw(st.integers(3, 40))
-    kind = draw(st.sampled_from(["uniform", "perturbed", "scattered", "tiny"]))
+    n = draw(st.integers(min_samples, 40))
+    kind = draw(st.sampled_from(kinds))
     if kind == "tiny":
         span = 10.0 ** draw(st.floats(-320.0, -150.0))
     else:
@@ -210,18 +240,28 @@ def test_one_gradient_serves_every_functional_of_a_curve(monkeypatch, rng):
         calls.append(1)
         return velocity(*args, **kwargs)
 
+    squares = []
+    sum_squares_of = biphase.state_space._sum_squares
+
+    def counting_squares(rows):
+        squares.append(rows.shape)
+        return sum_squares_of(rows)
+
     monkeypatch.setattr(biphase.state_space, "curve_velocity", counting)
+    monkeypatch.setattr(biphase.state_space, "_sum_squares", counting_squares)
     geometric_phase(curve)
     parallel_lift(curve)
     curve_length(curve)
     horizontality_residual(curve)
     geodesic_residual(curve)
     assert len(calls) == 1
+    # speed^2 from the six real parts and |vertical|^2 from two, once each
+    assert sorted(squares) == [(201, 2), (201, 6)]
 
 
 def test_cached_derivatives_are_read_only_and_public_velocity_is_fresh(rng):
     curve = geodesic_between(random_state(rng), random_state(rng), 41)
-    for cached in (curve._velocity, curve._vertical):
+    for cached in (curve._velocity, curve._vertical, curve._speed_sq, curve._vertical_sq):
         assert not cached.flags.writeable
         with pytest.raises(ValueError):
             cached[0] = 0.0
@@ -234,11 +274,50 @@ def test_cached_derivatives_are_read_only_and_public_velocity_is_fresh(rng):
 def test_derived_curves_differentiate_their_own_samples(rng):
     curve = geodesic_between(random_state(rng), random_state(rng), 41)
     curve._velocity  # fill the source's cache first
+    curve._speed_sq, curve._vertical_sq
     for derived in (gauge_transform(curve, lambda t: 0.7 * t * t), parallel_lift(curve)):
-        assert "_velocity" not in vars(derived) and "_vertical" not in vars(derived)
+        assert not {"_velocity", "_vertical", "_speed_sq", "_vertical_sq"} & set(vars(derived))
         assert not np.shares_memory(derived._velocity, curve._velocity)
         assert np.array_equal(derived._velocity, ref_velocity(derived.s, derived.amplitudes))
         assert np.array_equal(derived._vertical, ref_vertical(derived.s, derived.amplitudes))
+        assert np.array_equal(derived._speed_sq, squared_moduli(derived._velocity))
+        assert np.array_equal(derived._vertical_sq, squared_moduli(derived._vertical))
+
+
+@given(curves(kinds=("uniform", "perturbed"), min_samples=5))
+def test_three_pass_residual_and_sum_of_squares_modulus_stay_at_rounding(curve):
+    if curve._step is None:
+        # a perturbed grid beyond the uniformity tolerance has no residual
+        return
+    s, amps = curve.s, curve.amplitudes
+    eps = np.finfo(float).eps
+    old = seven_pass_geodesic_residual(s, amps)
+    horizontal = hypot_horizontality(s, amps)
+    new = geodesic_residual(curve)
+    # both forms round unit rows, about eps each, and the products with
+    # h^2 speed^2 to eps of their size, then divide by h^2: a few eps / h^2
+    h_sq = curve._step**2
+    bound = 16.0 * eps * (1.0 + h_sq * float(curve._speed_sq[1:-1].max())) / h_sq
+    assert abs(new - old) <= bound + 4.0 * eps * old
+    # each row moves by at most 1 ulp, so the largest does too
+    assert abs(horizontality_residual(curve) - horizontal) <= math.ulp(horizontal)
+
+
+def test_squares_that_overflow_are_a_typed_error():
+    # a step of 2**-511 passes the step check, and the end stencil
+    # (-3 psi_0 + 4 psi_1 - psi_2) / 2h of rows e, -e, e reads -4 e / h:
+    # finite, but its square, 16 / h^2 = 2**1026, is not
+    n = 7
+    s = 2.0**-511 * np.arange(n)
+    amps = np.zeros((n, 3), dtype=complex)
+    amps[:, 0] = [1.0, -1.0, 1.0, 1.0, 1.0, -1.0, 1.0]
+    curve = Curve(s, amps, Basis.PMZ)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert np.all(np.isfinite(curve._velocity))
+        for function in (curve_length, horizontality_residual, geodesic_residual):
+            with pytest.raises(NumericError, match="squared speed overflows"):
+                function(curve)
 
 
 def test_squared_derivatives_of_a_too_thin_plate_are_a_typed_error(rng):

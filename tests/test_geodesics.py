@@ -108,6 +108,22 @@ def test_geodesic_between_orthogonal_axes_is_the_great_circle():
     assert np.max(np.abs(curve.amplitudes - expected)) < 1e-12
 
 
+def test_the_geodesic_to_an_orthogonal_ray_ignores_last_bit_noise(rng):
+    # <a|b> of an orthogonal pair is rounding noise of about 1e-16; its phase
+    # used to re-gauge b, so a last-bit change of b turned the sampled endpoint
+    a, c = random_state(rng), random_state(rng)
+    b = StateVector.normalized(c.amplitudes - inner(a, c) * a.amplitudes, Basis.PMZ)
+    eps = np.finfo(float).eps
+    for k in range(6):
+        parts = b.amplitudes.view(float).copy()
+        parts[k] = np.nextafter(parts[k], math.inf)
+        nudged = StateVector(parts.view(complex), Basis.PMZ)
+        assert 0.0 < abs(inner(a, nudged)) < 1e-15
+        assert geodesic_frame(a, nudged)[2] == math.pi / 2.0
+        end = geodesic_between(a, nudged, 41).amplitudes[-1]
+        assert np.max(np.abs(end - nudged.amplitudes)) <= 4.0 * eps
+
+
 def test_geodesic_endpoints(rng):
     a, b = random_state(rng), random_state(rng)
     curve = geodesic_between(a, b, 51)
